@@ -10,15 +10,13 @@ from .flag_homology import (ChainComplexFp, FlagComplex, flag_complex,
                             simplicial_chain_complex)
 from .fpcheck import (Character, FpnReport, analyze, character_complex,
                       check_surjective, decomposition_check, fp_via_complex,
-                      fp_via_links, is_fg, max_fp, parse_character,
-                      support_graph, INFINITE)
+                      fp_via_links, is_fg, max_fp, parse_character, INFINITE)
 from .fpmatrix import MatrixFp, rank_fp
 from .gog import (EulerReport, GraphOfFiniteGroups, check_bounds,
                   euler_characteristic, euler_report, free_rank,
                   is_dihedral_type, is_reduced, parse_gog, reduce)
-from .graph import (SimplicialGraph, central_vertices, core_subgraph,
-                    enumerate_cliques, graph_document, induced_subgraph,
-                    is_connected, is_dominant, join_factors, parse_graph,
-                    vertex_link)
+from .graph import (SimplicialGraph, enumerate_cliques, graph_document,
+                    induced_subgraph, is_connected, is_dominant, join_factors,
+                    parse_graph)
 
 __version__ = "0.1.0"

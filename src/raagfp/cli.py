@@ -2,8 +2,8 @@
 
 Exit codes: 0 verdict true (or clean run), 1 verdict false (or suite
 failure), 2 malformed input or bad arguments, 3 inapplicable analysis
-(zero character, rank-0 matrix), 4 internal defect (route disagreement
-or a violated index bound on valid input).
+(zero character, rank-0 matrix), 4 internal defect (a failed self-check,
+route disagreement or a violated index bound on valid input).
 
 Reports are JSON by default (--format text for plain text) and are
 byte-identical across runs for fixed inputs and seed.
@@ -18,8 +18,9 @@ import os
 import sys
 
 from . import __version__, coabelian, fpcheck, gog, verify
-from .errors import EpimorphismError, FiniteQuotientError, SchemaError
-from .graph import induced_subgraph, is_connected, is_dominant, parse_graph
+from .errors import (EpimorphismError, FiniteQuotientError, InternalDefect,
+                     SchemaError)
+from .graph import parse_graph
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -92,13 +93,9 @@ def _graph_and_character(args):
 
 def cmd_fg(args) -> int:
     g, chi, inputs = _graph_and_character(args)
-    check = fpcheck.check_surjective(g, chi)
-    if not check.surjective and check.rescaled_by_power == 0:
-        raise EpimorphismError("character is identically zero: not an epimorphism")
-    norm = check.normalized
-    supp = norm.support(g)
-    connected = is_connected(induced_subgraph(g, supp))
-    dominant = is_dominant(g, supp)
+    check = fpcheck.require_epimorphism(g, chi)
+    supp = check.normalized.support(g)
+    connected, dominant = fpcheck.connected_and_dominant(g, supp)
     fg = connected and dominant
     doc = _report("fg", inputs, {
         "support": list(g.sorted(supp)),
@@ -149,7 +146,7 @@ def cmd_table(args) -> int:
     chunks = _split(supports, max(args.jobs, 1))
     payloads = [(gdoc, args.p, chunk) for chunk in chunks if chunk]
     rows = []
-    for part in _pmap(_table_chunk, payloads, args.jobs):
+    for part in verify.pmap(_table_chunk, payloads, args.jobs):
         rows.extend(part)
     doc = _report("table", {"graph_sha256": _digest(gdoc), "p": args.p},
                   {"rows": rows})
@@ -160,17 +157,6 @@ def cmd_table(args) -> int:
 def _split(items, parts):
     size = (len(items) + parts - 1) // parts if items else 1
     return [items[i:i + size] for i in range(0, len(items), size)]
-
-
-def _pmap(fn, payloads, jobs):
-    if jobs > 1:
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                return list(pool.map(fn, payloads))
-        except OSError:
-            pass
-    return [fn(p) for p in payloads]
 
 
 def cmd_coabelian(args) -> int:
@@ -314,6 +300,9 @@ def main(argv=None) -> int:
     except (EpimorphismError, FiniteQuotientError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INAPPLICABLE
+    except InternalDefect as exc:
+        print(f"error: internal defect: {exc}", file=sys.stderr)
+        return EXIT_DEFECT
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

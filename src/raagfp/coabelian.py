@@ -21,10 +21,9 @@ from itertools import combinations
 from math import gcd
 
 from . import fpcheck
-from .errors import FiniteQuotientError, SchemaError
+from .errors import FiniteQuotientError, InternalDefect, SchemaError
 from .fpmatrix import check_prime
-from .graph import SimplicialGraph, induced_subgraph, is_connected, \
-    is_dominant, join_factors
+from .graph import SimplicialGraph, join_factors
 
 
 @dataclass(frozen=True)
@@ -59,10 +58,10 @@ def parse_matrix(document, g: SimplicialGraph) -> CoabelianSpec:
         raise SchemaError("matrix document must be a JSON object")
     p = document.get("p")
     rows = document.get("rows")
-    if not isinstance(p, int):
+    if type(p) is not int:
         raise SchemaError('"p" must be an integer prime')
     if (not isinstance(rows, list) or not rows
-            or not all(isinstance(r, list) and all(isinstance(x, int) for x in r)
+            or not all(isinstance(r, list) and all(type(x) is int for x in r)
                        for r in rows)):
         raise SchemaError('"rows" must be a non-empty array of integer arrays')
     try:
@@ -204,7 +203,7 @@ def _certify(m: CoabelianSpec, cols, zero_idx) -> ZeroPattern:
                 tuple(m.vertices[j] for j in sorted(zero_idx)), lam)
             _verify_certificate(m, pattern)
             return pattern
-    raise AssertionError("no certificate found; pattern not realizable")
+    raise InternalDefect("no certificate found; pattern not realizable")
 
 
 def _dot(a, b):
@@ -216,7 +215,7 @@ def _verify_certificate(m: CoabelianSpec, pattern: ZeroPattern):
     for v in m.vertices:
         d = _dot(pattern.certificate, m.column(v))
         if (d == 0) != (v in zs):
-            raise AssertionError(f"certificate fails at vertex {v!r}")
+            raise InternalDefect(f"certificate fails at vertex {v!r}")
 
 
 @dataclass(frozen=True)
@@ -247,8 +246,7 @@ def fg_coabelian(g: SimplicialGraph, m: CoabelianSpec) -> FgReport:
     for pattern in enumerate_patterns(m):
         supp = [v for v in g.vertices if v not in set(pattern.zero_set)]
         verdict = PatternVerdict(pattern,
-                                 is_connected(induced_subgraph(g, supp)),
-                                 is_dominant(g, supp))
+                                 *fpcheck.connected_and_dominant(g, supp))
         verdicts.append(verdict)
         if witness is None and not verdict.fg:
             witness = pattern

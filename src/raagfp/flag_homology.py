@@ -7,7 +7,7 @@ position i contributes the sign (-1)**(i-1).
 
 from __future__ import annotations
 
-from .errors import SchemaError
+from .errors import InternalDefect, SchemaError
 from .fpmatrix import MatrixFp, check_prime, rank_fp
 from .graph import SimplicialGraph, enumerate_cliques, induced_subgraph
 
@@ -15,10 +15,9 @@ from .graph import SimplicialGraph, enumerate_cliques, induced_subgraph
 class FlagComplex:
     """The simplices (nonempty cliques) of a graph, grouped by size."""
 
-    __slots__ = ("ambient", "simplices")
+    __slots__ = ("simplices",)
 
-    def __init__(self, ambient: SimplicialGraph, simplices):
-        self.ambient = ambient
+    def __init__(self, simplices):
         self.simplices = [tuple(group) for group in simplices]
         while self.simplices and not self.simplices[-1]:
             self.simplices.pop()
@@ -52,7 +51,7 @@ class FlagComplex:
 def flag_complex(g: SimplicialGraph) -> FlagComplex:
     """Complex glued from every nonempty clique of g."""
     groups = enumerate_cliques(g, len(g.vertices))
-    return FlagComplex(g, groups[1:])
+    return FlagComplex(groups[1:])
 
 
 def link_complex(g: SimplicialGraph, support, s) -> FlagComplex:
@@ -87,11 +86,10 @@ class ChainComplexFp:
     and homology start at degree 1.
     """
 
-    __slots__ = ("p", "lo", "hi", "dims", "boundaries", "basis_labels",
-                 "chain_floor", "_ranks")
+    __slots__ = ("p", "lo", "hi", "dims", "boundaries", "chain_floor",
+                 "_ranks")
 
-    def __init__(self, p, lo, hi, dims, boundaries, basis_labels=None,
-                 chain_floor=None):
+    def __init__(self, p, lo, hi, dims, boundaries, chain_floor=None):
         check_prime(p)
         if hi < lo:
             raise ValueError("empty degree range")
@@ -100,7 +98,6 @@ class ChainComplexFp:
         self.hi = hi
         self.dims = {n: int(dims.get(n, 0)) for n in range(lo, hi + 1)}
         self.boundaries = dict(boundaries)
-        self.basis_labels = dict(basis_labels or {})
         self.chain_floor = lo if chain_floor is None else chain_floor
         self._ranks = {}
         for n, m in self.boundaries.items():
@@ -136,7 +133,7 @@ class ChainComplexFp:
         for n in range(max(self.chain_floor, self.lo), self.hi + 1):
             dim = self.dims[n] - self.boundary_rank(n) - self.boundary_rank(n + 1)
             if dim < 0:
-                raise AssertionError(f"negative homology dimension at degree {n}")
+                raise InternalDefect(f"negative homology dimension at degree {n}")
             out[n] = dim
         return out
 
@@ -151,14 +148,9 @@ def simplicial_chain_complex(k: FlagComplex, p: int, augmented: bool = True
     check_prime(p)
     lo = -1 if augmented else 0
     hi = max(k.dim, lo)
-    dims = {}
-    labels = {}
-    if augmented:
-        dims[-1] = 1
-        labels[-1] = [()]
+    dims = {-1: 1} if augmented else {}
     for d in range(0, k.dim + 1):
         dims[d] = len(k.group(d + 1))
-        labels[d] = list(k.group(d + 1))
     boundaries = {}
     if augmented and dims.get(0):
         boundaries[0] = MatrixFp(1, dims[0], p,
@@ -174,7 +166,7 @@ def simplicial_chain_complex(k: FlagComplex, p: int, augmented: bool = True
                 entries[(i, j)] = (entries.get((i, j), 0) + sign) % p
                 sign = -sign
         boundaries[d] = MatrixFp(dims[d - 1], dims[d], p, entries)
-    return ChainComplexFp(p, lo, hi, dims, boundaries, labels)
+    return ChainComplexFp(p, lo, hi, dims, boundaries)
 
 
 def reduced_homology(k: FlagComplex, p: int) -> dict:
@@ -188,7 +180,8 @@ def reduced_homology(k: FlagComplex, p: int) -> dict:
     h = cx.homology()
     chain_euler = sum((-1) ** n * d for n, d in cx.dims.items())
     homology_euler = sum((-1) ** n * d for n, d in h.items())
-    assert chain_euler == homology_euler, "Euler characteristic mismatch"
+    if chain_euler != homology_euler:
+        raise InternalDefect("Euler characteristic mismatch")
     return h
 
 

@@ -2,8 +2,8 @@
 
 A character assigns one integer per vertex (the image of that generator
 in the p-adic integers).  Everything observable here depends only on
-the zero pattern of the character: which vertices map to zero.  The two
-routes to the FP_n verdict are
+the zero pattern of the character: which vertices map to zero.  The
+FP_n verdict has two readings:
 
 * the support complex: one basis element per clique of the whole graph,
   graded by clique size, with the boundary keeping only the terms whose
@@ -15,8 +15,18 @@ routes to the FP_n verdict are
   subgraph must be (n-1-|S|)-acyclic over F_p, where (-1)-acyclic means
   nonempty.
 
-The two routes agree degree by degree; the per-clique link dimensions
-sum to the support-complex homology dimension in each degree.
+The boundary removes only support vertices, so the support complex is
+block-diagonal over the outside cliques S.  Rescale each basis clique
+S u T (T inside the support) by the sign of the shuffle that sorts the
+concatenation S.T; then block S is the augmented chain complex of the
+link of S, with its differential multiplied by (-1)**|S| and degree n
+of the block sitting in link degree n-1-|S|.  So the support-complex
+homology in degree n is the sum over S of the reduced link homology in
+degree n-1-|S|, and ``analyze`` and ``max_fp`` read both route columns
+and the decomposition block off one link-homology table.  The unsplit
+support complex (``character_complex``) is built only by the oracles
+``fp_via_complex`` and ``decomposition_check``, which the verify suites
+and the tests run against the link table.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ from dataclasses import dataclass, field
 
 from .errors import EpimorphismError, SchemaError
 from .flag_homology import (ChainComplexFp, is_k_acyclic, link_complex,
-                            reduced_homology, simplicial_chain_complex)
+                            reduced_homology)
 from .fpmatrix import MatrixFp, check_prime
 from .graph import SimplicialGraph, enumerate_cliques, induced_subgraph, \
     is_connected, is_dominant
@@ -63,9 +73,9 @@ def parse_character(document) -> Character:
         raise SchemaError("character document must be a JSON object")
     p = document.get("p")
     chi = document.get("chi")
-    if not isinstance(p, int):
+    if type(p) is not int:
         raise SchemaError('"p" must be an integer prime')
-    if not isinstance(chi, dict) or not all(isinstance(v, int) for v in chi.values()):
+    if not isinstance(chi, dict) or not all(type(v) is int for v in chi.values()):
         raise SchemaError('"chi" must map vertices to integers')
     try:
         return Character(p, dict(chi))
@@ -78,11 +88,6 @@ class SurjectivityCheck:
     surjective: bool            # the original character hits a p-adic unit
     normalized: Character       # p-power rescaled character, same kernel
     rescaled_by_power: int      # t with normalized = chi / p**t
-
-
-def support_graph(g: SimplicialGraph, chi: Character) -> SimplicialGraph:
-    """Subgraph induced on the vertices with nonzero character value."""
-    return induced_subgraph(g, chi.support(g))
 
 
 def check_surjective(g: SimplicialGraph, chi: Character) -> SurjectivityCheck:
@@ -113,11 +118,18 @@ def _valuation(n: int, p: int) -> int:
     return t
 
 
-def _require_epimorphism(g: SimplicialGraph, chi: Character) -> SurjectivityCheck:
+def require_epimorphism(g: SimplicialGraph, chi: Character) -> SurjectivityCheck:
+    """check_surjective, refusing the identically zero character."""
     check = check_surjective(g, chi)
     if not check.surjective and check.rescaled_by_power == 0:
         raise EpimorphismError("character is identically zero: not an epimorphism")
     return check
+
+
+def connected_and_dominant(g: SimplicialGraph, supp) -> tuple:
+    """Whether the subgraph on supp is connected, and whether every
+    vertex outside supp has a neighbor in it."""
+    return is_connected(induced_subgraph(g, supp)), is_dominant(g, supp)
 
 
 def is_fg(g: SimplicialGraph, chi: Character) -> bool:
@@ -126,9 +138,8 @@ def is_fg(g: SimplicialGraph, chi: Character) -> bool:
     Holds iff the support subgraph is connected and dominant (every
     outside vertex has a neighbor in the support).
     """
-    check = _require_epimorphism(g, chi)
-    supp = check.normalized.support(g)
-    return is_connected(induced_subgraph(g, supp)) and is_dominant(g, supp)
+    supp = require_epimorphism(g, chi).normalized.support(g)
+    return all(connected_and_dominant(g, supp))
 
 
 def character_complex(g: SimplicialGraph, chi: Character) -> ChainComplexFp:
@@ -149,10 +160,8 @@ def character_complex(g: SimplicialGraph, chi: Character) -> ChainComplexFp:
         groups.pop()
     top = len(groups) - 1
     dims = {-1: 1}
-    labels = {-1: [()]}
     for n in range(0, top + 1):
         dims[n] = len(groups[n])
-        labels[n] = list(groups[n])
     boundaries = {0: MatrixFp(1, 1, p, {(0, 0): 1})}
     for n in range(1, top + 1):
         index_below = {c: i for i, c in enumerate(groups[n - 1])}
@@ -166,7 +175,7 @@ def character_complex(g: SimplicialGraph, chi: Character) -> ChainComplexFp:
                     entries[(i, j)] = (entries.get((i, j), 0) + sign) % p
                 sign = -sign
         boundaries[n] = MatrixFp(dims[n - 1], dims[n], p, entries)
-    return ChainComplexFp(p, -1, top, dims, boundaries, labels, chain_floor=1)
+    return ChainComplexFp(p, -1, top, dims, boundaries, chain_floor=1)
 
 
 def outside_cliques(g: SimplicialGraph, support) -> list:
@@ -183,6 +192,24 @@ def link_homology_table(g: SimplicialGraph, support, p: int) -> dict:
             for s in outside_cliques(g, support)}
 
 
+def homology_from_links(links: dict) -> dict:
+    """Support-complex homology dims, degrees 1 .. largest clique size,
+    read off a link_homology_table.
+
+    Block S contributes its link's reduced homology in degree n-1-|S|
+    to degree n.  The largest clique whose outside part is S has |S|
+    vertices plus one more than the top degree of the link of S.
+    """
+    top = max(len(s) + 1 + max(dims) for s, dims in links.items())
+    return {n: sum(dims.get(n - 1 - len(s), 0) for s, dims in links.items())
+            for n in range(1, top + 1)}
+
+
+def _level(h: dict):
+    """Largest n with h vanishing in degrees 1..n, inf if none is nonzero."""
+    return next((n - 1 for n, dim in h.items() if dim), INFINITE)
+
+
 def fp_via_complex(g: SimplicialGraph, chi: Character, n: int) -> bool:
     """FP_n via the support complex: homology zero in degrees 1..n.
 
@@ -191,7 +218,7 @@ def fp_via_complex(g: SimplicialGraph, chi: Character, n: int) -> bool:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    check = _require_epimorphism(g, chi)
+    check = require_epimorphism(g, chi)
     h = character_complex(g, check.normalized).homology()
     return all(h.get(i, 0) == 0 for i in range(1, n + 1))
 
@@ -206,17 +233,13 @@ def fp_via_links(g: SimplicialGraph, chi: Character, n: int) -> bool:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    check = _require_epimorphism(g, chi)
+    check = require_epimorphism(g, chi)
     supp = check.normalized.support(g)
     for s in outside_cliques(g, supp):
         if len(s) <= n and not is_k_acyclic(link_complex(g, supp, s), chi.p,
                                             n - 1 - len(s)):
             return False
     return True
-
-
-def _acyclic_from_dims(hdims: dict, level: int) -> bool:
-    return all(hdims.get(i, 0) == 0 for i in range(-1, level + 1))
 
 
 @dataclass(frozen=True)
@@ -246,31 +269,25 @@ def decomposition_check(g: SimplicialGraph, chi: Character) -> DecompositionRepo
     of the degree-n homology of the support complex must equal the sum
     over outside cliques S with |S| <= n of the reduced link homology
     in degree n-1-|S|.  No surjectivity is needed; this is a chain
-    level identity and holds for the zero character as well.
+    level identity and holds for the zero character as well.  This is
+    the oracle for the link table that ``analyze`` reads: it builds the
+    unsplit support complex.
     """
-    chi.require_defined_on(g)
     cx = character_complex(g, chi)
     h = cx.homology()
-    supp = chi.support(g)
-    links = link_homology_table(g, supp, chi.p)
-    rows = []
-    for n in range(1, cx.hi + 1):
-        total = sum(dims.get(n - 1 - len(s), 0)
-                    for s, dims in links.items() if len(s) <= n)
-        rows.append(DecompositionRow(n, h.get(n, 0), total))
-    return DecompositionReport(tuple(rows))
+    sums = homology_from_links(link_homology_table(g, chi.support(g), chi.p))
+    return DecompositionReport(tuple(
+        DecompositionRow(n, h.get(n, 0), sums.get(n, 0))
+        for n in range(1, cx.hi + 1)))
 
 
 def max_fp(g: SimplicialGraph, chi: Character):
     """Largest n with FP_n, as an integer, or inf when every degree
     up to the largest clique size vanishes.  A surjective character
     with non-finitely-generated kernel reports 0."""
-    check = _require_epimorphism(g, chi)
-    h = character_complex(g, check.normalized).homology()
-    for n in sorted(h):
-        if h[n] != 0:
-            return n - 1
-    return INFINITE
+    check = require_epimorphism(g, chi)
+    supp = check.normalized.support(g)
+    return _level(homology_from_links(link_homology_table(g, supp, chi.p)))
 
 
 @dataclass(frozen=True)
@@ -337,42 +354,30 @@ def analyze(g: SimplicialGraph, chi: Character, max_n: int | None = None
             ) -> FpnReport:
     """Full report for one character: finite generation, both FP_n
     routes per degree, the decomposition identity and the maximal FP
-    level.  Degrees run from 1 to max_n (default: the largest clique
-    size of the graph)."""
-    check = _require_epimorphism(g, chi)
-    norm = check.normalized
-    supp = norm.support(g)
-    fg = is_connected(induced_subgraph(g, supp)) and is_dominant(g, supp)
-
-    cx = character_complex(g, norm)
-    h = cx.homology()
+    level, all read off one link-homology table.  Degrees run from 1 to
+    max_n (default: the largest clique size of the graph)."""
+    check = require_epimorphism(g, chi)
+    supp = check.normalized.support(g)
     links = link_homology_table(g, supp, chi.p)
-    top = cx.hi
-    upto = top if max_n is None else max_n
+    h = homology_from_links(links)
+    upto = len(h) if max_n is None else max_n
 
     rows = []
-    fp_c = True
+    fp_c = fp_l = True
     for n in range(1, upto + 1):
-        fp_c = fp_c and h.get(n, 0) == 0
-        fp_l = all(_acyclic_from_dims(dims, n - 1 - len(s))
-                   for s, dims in links.items() if len(s) <= n)
         link_dims = {s: dims.get(n - 1 - len(s), 0)
                      for s, dims in links.items() if len(s) <= n}
+        # FP_n needs every degree up to n: the complex column reads the
+        # block sums, the link column each block's own level
+        fp_c = fp_c and h.get(n, 0) == 0
+        fp_l = fp_l and not any(link_dims.values())
         rows.append(DegreeRow(n, n - 1, fp_c, fp_l, h.get(n, 0), link_dims))
 
-    level = INFINITE
-    for n in sorted(h):
-        if h[n] != 0:
-            level = n - 1
-            break
-
-    deco_rows = tuple(DecompositionRow(
-        n, h.get(n, 0),
-        sum(dims.get(n - 1 - len(s), 0)
-            for s, dims in links.items() if len(s) <= n))
-        for n in range(1, top + 1))
-
-    return FpnReport(p=chi.p, support=g.sorted(supp), fg=fg,
+    # both sides of the identity come from the same table here; the
+    # unsplit complex is compared with it only in decomposition_check
+    deco = DecompositionReport(tuple(DecompositionRow(n, dim, dim)
+                                     for n, dim in h.items()))
+    return FpnReport(p=chi.p, support=g.sorted(supp), fg=is_fg(g, chi),
                      rescaled_by_power=check.rescaled_by_power,
-                     degrees=tuple(rows), max_fp=level,
-                     decomposition=DecompositionReport(deco_rows), graph=g)
+                     degrees=tuple(rows), max_fp=_level(h),
+                     decomposition=deco, graph=g)

@@ -64,10 +64,6 @@ class MatrixFp:
                     entries[(i, j)] = v % p
         return cls(nr, nc, p, entries)
 
-    @classmethod
-    def identity(cls, n: int, p: int) -> "MatrixFp":
-        return cls(n, n, p, {(i, i): 1 for i in range(n)})
-
     def is_zero(self) -> bool:
         return not self.entries
 

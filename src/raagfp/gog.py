@@ -40,7 +40,7 @@ class GraphOfFiniteGroups:
         for vid, order in vertex_orders:
             if vid in orders:
                 raise SchemaError(f"duplicate vertex id: {vid!r}")
-            if not isinstance(order, int) or order < 1:
+            if type(order) is not int or order < 1:
                 raise SchemaError(f"vertex {vid!r} order must be a positive integer")
             orders[vid] = order
         if not orders:
@@ -56,7 +56,7 @@ class GraphOfFiniteGroups:
             for end in (e.d0, e.d1):
                 if end not in orders:
                     raise SchemaError(f"edge {e.id!r} endpoint unknown: {end!r}")
-            if not isinstance(e.order, int) or e.order < 1:
+            if type(e.order) is not int or e.order < 1:
                 raise SchemaError(f"edge {e.id!r} order must be a positive integer")
             for end in (e.d0, e.d1):
                 if orders[end] % e.order:

@@ -135,11 +135,6 @@ def induced_subgraph(g: SimplicialGraph, keep) -> SimplicialGraph:
     return SimplicialGraph(vs, es)
 
 
-def vertex_link(g: SimplicialGraph, v) -> frozenset:
-    """The neighbors of v (v itself excluded)."""
-    return g.neighbors(v)
-
-
 def is_connected(g: SimplicialGraph) -> bool:
     """True iff g is nonempty and has one component.
 
@@ -201,31 +196,6 @@ def join_factors(g: SimplicialGraph) -> list:
     return factors
 
 
-def central_vertices(g: SimplicialGraph) -> frozenset:
-    """Vertices adjacent to every other vertex."""
-    n = len(g.vertices)
-    return frozenset(v for v in g.vertices if len(g.neighbors(v)) == n - 1)
-
-
-def core_subgraph(g: SimplicialGraph, sub) -> frozenset:
-    """Union of the join factors of g entirely contained in ``sub``.
-
-    This is the largest vertex set D inside sub such that g is the join
-    of D and its complement; it may be empty.
-    """
-    sub = set(sub)
-    for v in sub:
-        if v not in g:
-            raise SchemaError(f"unknown vertex: {v!r}")
-    if not g.vertices:
-        return frozenset()
-    out = set()
-    for factor in join_factors(g):
-        if set(factor) <= sub:
-            out |= set(factor)
-    return frozenset(out)
-
-
 def enumerate_cliques(g: SimplicialGraph, max_size: int) -> list:
     """All cliques of size <= max_size, grouped by size.
 
@@ -253,11 +223,3 @@ def enumerate_cliques(g: SimplicialGraph, max_size: int) -> list:
         extend((), list(g.vertices))
     return groups
 
-
-def max_clique_size(g: SimplicialGraph) -> int:
-    """Largest clique cardinality (0 for the empty graph)."""
-    groups = enumerate_cliques(g, len(g.vertices))
-    for k in range(len(groups) - 1, -1, -1):
-        if groups[k]:
-            return k
-    return 0

@@ -272,6 +272,19 @@ SUITES = {
 }
 
 
+def pmap(fn, payloads, jobs):
+    """[fn(x) for x in payloads], over a pool of ``jobs`` worker
+    processes when jobs > 1 and a pool can be started."""
+    if jobs > 1:
+        try:
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                return list(pool.map(fn, payloads))
+        except OSError:
+            pass
+    return [fn(p) for p in payloads]
+
+
 def _run_one(payload) -> SuiteResult:
     name, seed, trials, max_vertices = payload
     return SUITES[name](seed, trials, max_vertices)
@@ -280,11 +293,4 @@ def _run_one(payload) -> SuiteResult:
 def run_all(seed: int = 0, trials: int = 100, max_vertices: int = 7,
             jobs: int = 1) -> list:
     payloads = [(name, seed, trials, max_vertices) for name in SUITES]
-    if jobs > 1:
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                return list(pool.map(_run_one, payloads))
-        except OSError:
-            pass
-    return [_run_one(p) for p in payloads]
+    return pmap(_run_one, payloads, jobs)

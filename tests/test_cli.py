@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from raagfp import corpus
 from raagfp.cli import main
 from raagfp.graph import graph_document
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 @pytest.fixture
@@ -150,6 +156,12 @@ def test_verify_smoke(files, capsys):
     assert len(doc["results"]["suites"]) == 6
 
 
+def test_verify_jobs_do_not_change_the_report(capsys):
+    argv = ["verify", "--trials", "5", "--max-vertices", "5", "--seed", "3"]
+    assert run(capsys, argv + ["--jobs", "1"]) == \
+        run(capsys, argv + ["--jobs", "2"])
+
+
 def test_verify_negative_control():
     # a deliberately corrupted boundary must be caught by the same check
     # the verify suites run
@@ -189,6 +201,46 @@ def test_gog_dihedral_skip(files, capsys):
     res = json.loads(out)["results"]
     assert res["dihedral_type"] is True
     assert res["bounds"]["quotient_clause_skipped"] == "dihedral type"
+
+
+def test_json_booleans_are_not_integers(files, capsys):
+    g = corpus.edgeless(2)
+    gp = files("e2.json", graph_document(g))
+    cp = files("boolchi.json", {"p": 2, "chi": {"v1": True, "v2": False}})
+    assert run(capsys, ["fg", gp, cp])[0] == 2
+    mp = files("boolrows.json", {"p": 2, "rows": [[True, 0]]})
+    assert run(capsys, ["coabelian", gp, mp])[0] == 2
+    xp = files("boolgog.json", {"vertices": [{"id": "v", "order": True}],
+                                "edges": []})
+    assert run(capsys, ["gog", xp])[0] == 2
+
+
+DEFECT_ARGV = ["fpn", str(CORPUS / "cycle4.graph.json"),
+               str(CORPUS / "cycle4.ones.chi.json")]
+
+
+def test_wrong_rank_exits_as_internal_defect(monkeypatch, capsys):
+    from raagfp import flag_homology, fpmatrix
+    monkeypatch.setattr(flag_homology, "rank_fp",
+                        lambda m: fpmatrix.rank_fp(m) + 1)
+    assert main(DEFECT_ARGV) == 4
+    assert capsys.readouterr().err.startswith("error: internal defect")
+
+
+def test_wrong_rank_exits_as_internal_defect_under_optimize():
+    # python -O strips assert statements; the self-checks must survive
+    script = ("import sys\n"
+              "from raagfp import cli, flag_homology, fpmatrix\n"
+              "flag_homology.rank_fp = lambda m: fpmatrix.rank_fp(m) + 1\n"
+              f"sys.exit(cli.main({DEFECT_ARGV!r}))\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.startswith("error: internal defect")
 
 
 def test_text_format(files, capsys):

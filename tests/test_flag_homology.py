@@ -41,7 +41,7 @@ def test_simplicial_chain_complex_dims():
     assert cx.dims == {-1: 1, 0: 4, 1: 4}
     cx = simplicial_chain_complex(flag_complex(corpus.complete(3)), 3)
     assert [cx.dims[d] for d in (-1, 0, 1, 2)] == [1, 3, 3, 1]
-    cx = simplicial_chain_complex(FlagComplex(SimplicialGraph([], []), []), 5)
+    cx = simplicial_chain_complex(FlagComplex([]), 5)
     assert cx.dims == {-1: 1}
 
 

@@ -9,7 +9,7 @@ from raagfp.errors import EpimorphismError
 from raagfp.fpcheck import (Character, analyze, character_complex,
                             check_surjective, decomposition_check,
                             fp_via_complex, fp_via_links, is_fg, max_fp,
-                            parse_character, support_graph)
+                            parse_character)
 from raagfp.graph import SimplicialGraph, induced_subgraph
 
 
@@ -23,16 +23,7 @@ def random_graph(rng, n, density=0.5):
     return SimplicialGraph(vs, edges)
 
 
-# support and surjectivity
-
-def test_support_graph():
-    c4 = corpus.cycle(4)
-    assert support_graph(c4, corpus.ones_character(c4, 2)) == c4
-    p3 = corpus.path(3)
-    sg = support_graph(p3, chi_of(p3, (1, 0, 1)))
-    assert sg.vertices == ("v1", "v3") and not sg.edges
-    assert support_graph(p3, chi_of(p3, (0, 0, 0))).vertices == ()
-
+# surjectivity
 
 def test_check_surjective_rescales_p_powers():
     g = corpus.edgeless(2)
@@ -223,6 +214,35 @@ def test_routes_agree_exhaustively_small():
             for n in range(1, len(g.vertices) + 1):
                 assert fp_via_complex(g, chi, n) == fp_via_links(g, chi, n)
             assert fp_via_complex(g, chi, 1) == is_fg(g, chi)
+
+
+def assert_link_table_matches_unsplit_complex(g, chi):
+    h = character_complex(g, chi).homology()
+    level = next((n - 1 for n in sorted(h) if h[n]), math.inf)
+    rep = analyze(g, chi)
+    assert {r.clique_size: r.complex_homology_dim for r in rep.degrees} == h
+    assert rep.max_fp == max_fp(g, chi) == level
+
+
+def test_link_table_against_unsplit_complex():
+    # analyze and max_fp read the support-complex homology off the link
+    # table; the unsplit complex is the independent oracle
+    for g in corpus.connected_graph_catalog(5):
+        for chi in all_01_characters(g, 2):
+            assert_link_table_matches_unsplit_complex(g, chi)
+    # zero sets containing edges give outside cliques of size >= 2
+    rng = random.Random("link-table")
+    checked = 0
+    while checked < 30:
+        p = rng.choice((3, 5))
+        g = random_graph(rng, rng.randint(4, 8), density=0.6)
+        vals = {v: rng.randrange(p) for v in g.vertices}
+        zero = [v for v in g.vertices if not vals[v]]
+        if not any(vals.values()) or \
+                not any(g.has_edge(a, b) for a, b in combinations(zero, 2)):
+            continue
+        assert_link_table_matches_unsplit_complex(g, Character(p, vals))
+        checked += 1
 
 
 def test_fp_monotone():

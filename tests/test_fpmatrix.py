@@ -37,7 +37,7 @@ def test_prime_validation():
 
 def test_zero_and_identity():
     assert rank_fp(MatrixFp(5, 7, 3)) == 0
-    assert rank_fp(MatrixFp.identity(6, 5)) == 6
+    assert rank_fp(MatrixFp(6, 6, 5, {(i, i): 1 for i in range(6)})) == 6
 
 
 def test_entries_normalized_mod_p():

@@ -5,10 +5,9 @@ import pytest
 
 from raagfp import corpus
 from raagfp.errors import SchemaError
-from raagfp.graph import (SimplicialGraph, central_vertices, core_subgraph,
-                          enumerate_cliques, graph_document, induced_subgraph,
-                          is_connected, is_dominant, join_factors,
-                          max_clique_size, parse_graph, vertex_link)
+from raagfp.graph import (SimplicialGraph, enumerate_cliques, graph_document,
+                          induced_subgraph, is_connected, is_dominant,
+                          join_factors, parse_graph)
 
 
 def c4():
@@ -86,15 +85,6 @@ def test_induced_monotone():
         assert induced_subgraph(g, keep1).edges <= induced_subgraph(g, keep2).edges
 
 
-def test_vertex_link():
-    assert vertex_link(c4(), "v1") == {"v2", "v4"}
-    k3 = corpus.complete(3)
-    assert vertex_link(k3, "v2") == {"v1", "v3"}
-    assert vertex_link(corpus.edgeless(3), "v1") == frozenset()
-    with pytest.raises(SchemaError):
-        vertex_link(c4(), "nope")
-
-
 # connectivity and dominance
 
 def test_is_connected():
@@ -143,49 +133,6 @@ def test_join_factors_partition_and_rebuild():
             assert len(f) == 1 or is_connected(comp)
 
 
-def test_central_vertices():
-    assert central_vertices(corpus.complete(3)) == {"v1", "v2", "v3"}
-    assert central_vertices(c4()) == frozenset()
-    assert central_vertices(corpus.star(3)) == {"hub"}
-
-
-def test_central_vertices_characterizations():
-    rng = random.Random("central")
-    for _ in range(20):
-        n = rng.randint(1, 7)
-        vs = [f"v{i}" for i in range(n)]
-        edges = [e for e in combinations(vs, 2) if rng.random() < 0.5]
-        g = SimplicialGraph(vs, edges)
-        central = central_vertices(g)
-        assert central == {v for v in vs if len(vertex_link(g, v)) == n - 1}
-        singles = {f[0] for f in join_factors(g) if len(f) == 1}
-        assert central == singles
-
-
-def test_core_subgraph():
-    assert core_subgraph(c4(), {"v1", "v3"}) == {"v1", "v3"}
-    # the factor {v2} of P_3 is inside {v1, v2}, the factor {v1, v3} is not
-    assert core_subgraph(p3(), {"v1", "v2"}) == {"v2"}
-    assert core_subgraph(c4(), c4().vertices) == set(c4().vertices)
-    with pytest.raises(SchemaError):
-        core_subgraph(c4(), {"zz"})
-
-
-def test_core_subgraph_properties():
-    rng = random.Random("core")
-    for _ in range(20):
-        n = rng.randint(1, 7)
-        vs = [f"v{i}" for i in range(n)]
-        edges = [e for e in combinations(vs, 2) if rng.random() < 0.5]
-        g = SimplicialGraph(vs, edges)
-        sub = {v for v in vs if rng.random() < 0.6}
-        core = core_subgraph(g, sub)
-        assert core <= sub
-        for f in join_factors(g):
-            inside = set(f) <= core
-            assert inside == (set(f) <= sub)
-
-
 # cliques
 
 def brute_cliques(g, max_size):
@@ -225,8 +172,3 @@ def test_enumerate_cliques_order_and_cap():
     with pytest.raises(ValueError):
         enumerate_cliques(g, -1)
 
-
-def test_max_clique_size():
-    assert max_clique_size(c4()) == 2
-    assert max_clique_size(corpus.complete(5)) == 5
-    assert max_clique_size(SimplicialGraph([], [])) == 0
