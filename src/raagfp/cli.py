@@ -2,8 +2,10 @@
 
 Exit codes: 0 verdict true (or clean run), 1 verdict false (or suite
 failure), 2 malformed input or bad arguments, 3 inapplicable analysis
-(zero character, rank-0 matrix), 4 internal defect (a failed self-check,
-route disagreement or a violated index bound on valid input).
+(zero character, rank-0 matrix, index bounds violated on a graph of
+groups whose free rank is below 2), 4 internal defect (a failed
+self-check, route disagreement or a violated index bound on input that
+meets the theorem's hypotheses).
 
 Reports are JSON by default (--format text for plain text) and are
 byte-identical across runs for fixed inputs and seed.
@@ -228,7 +230,16 @@ def cmd_gog(args) -> int:
         "dihedral_type": gog.is_dihedral_type(x),
         "bounds": bounds.document()})
     _emit(doc, args.format)
-    return EXIT_DEFECT if bounds.defect else EXIT_TRUE
+    if not bounds.defect:
+        return EXIT_TRUE
+    if bounds.rank < 2:
+        # the bounds are theorems only for groups that are not virtually
+        # cyclic, i.e. whose free subgroups of finite index have rank >= 2
+        print(f"error: bounds not applicable: free rank {bounds.rank} at "
+              f"index {m} is below 2, so the group is virtually cyclic",
+              file=sys.stderr)
+        return EXIT_INAPPLICABLE
+    return EXIT_DEFECT
 
 
 def _build_parser() -> argparse.ArgumentParser:

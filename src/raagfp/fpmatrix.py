@@ -1,8 +1,10 @@
 """Sparse matrices and exact rank computation over prime fields.
 
 Entries are stored reduced mod p with zeros absent, so arithmetic is
-exact by construction.  Rank uses sparse Gaussian elimination with
-minimal-fill (Markowitz) pivot selection; any prime p < 2**31 works.
+exact by construction.  Rank is a sparse column reduction, the one
+persistent homology uses (Edelsbrunner-Letscher-Zomorodian; Bauer's
+Ripser): columns are reduced left to right against a dict of pivot
+columns keyed by their largest row index.  Any prime p < 2**31 works.
 """
 
 from __future__ import annotations
@@ -51,42 +53,19 @@ class MatrixFp:
                 cleaned[(i, j)] = v
         self.entries = cleaned
 
-    @classmethod
-    def from_rows(cls, dense, p: int) -> "MatrixFp":
-        nr = len(dense)
-        nc = len(dense[0]) if dense else 0
-        entries = {}
-        for i, row in enumerate(dense):
-            if len(row) != nc:
-                raise ValueError("ragged rows")
-            for j, v in enumerate(row):
-                if v % p:
-                    entries[(i, j)] = v % p
-        return cls(nr, nc, p, entries)
-
     def is_zero(self) -> bool:
         return not self.entries
 
     def nnz(self) -> int:
         return len(self.entries)
 
-    def row_dicts(self) -> list:
-        rows = [dict() for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            rows[i][j] = v
-        return rows
-
-    def to_dense(self) -> list:
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            out[i][j] = v
-        return out
-
     def mul(self, other: "MatrixFp") -> "MatrixFp":
         if self.cols != other.rows or self.p != other.p:
             raise ValueError("incompatible shapes or moduli")
         p = self.p
-        orows = other.row_dicts()
+        orows = [{} for _ in range(other.rows)]
+        for (k, j), v in other.entries.items():
+            orows[k][j] = v
         acc = {}
         for (i, k), va in self.entries.items():
             for j, vb in orows[k].items():
@@ -106,59 +85,34 @@ class MatrixFp:
         return f"MatrixFp({self.rows}x{self.cols} mod {self.p}, nnz={self.nnz()})"
 
 
-def rank_of_row_dicts(rows, p: int) -> int:
-    """Rank of a matrix given as a list of {col: value} dicts, mod p.
-
-    Sparse elimination; the pivot minimizes the Markowitz fill product
-    (row nnz - 1) * (column nnz - 1).  The input list is consumed.
-    """
-    work = [r for r in (dict(r) for r in rows) if r]
-    col_rows = {}
-    for i, r in enumerate(work):
-        for c in r:
-            col_rows.setdefault(c, set()).add(i)
-    active = set(range(len(work)))
-    rank = 0
-    while active:
-        best = None
-        for i in sorted(active):
-            row = work[i]
-            if not row:
-                active.discard(i)
-                continue
-            rterm = len(row) - 1
-            for c, _ in row.items():
-                score = rterm * (len(col_rows[c]) - 1)
-                if best is None or score < best[0]:
-                    best = (score, i, c)
-            if best is not None and best[0] == 0:
-                break
-        if best is None:
-            break
-        _, pi, pc = best
-        piv = work[pi]
-        inv = pow(piv[pc], -1, p)
-        for j in tuple(col_rows[pc]):
-            if j == pi:
-                continue
-            rj = work[j]
-            f = (rj[pc] * inv) % p
-            for c, v in piv.items():
-                nv = (rj.get(c, 0) - f * v) % p
-                if nv:
-                    if c not in rj:
-                        col_rows[c].add(j)
-                    rj[c] = nv
-                elif c in rj:
-                    del rj[c]
-                    col_rows[c].discard(j)
-        active.discard(pi)
-        for c in piv:
-            col_rows[c].discard(pi)
-        rank += 1
-    return rank
-
-
 def rank_fp(m: MatrixFp) -> int:
-    """Rank of m over the field with m.p elements."""
-    return rank_of_row_dicts(m.row_dicts(), m.p)
+    """Rank of m over the field with m.p elements.
+
+    Column reduction: each column, as a {row: value} dict, is reduced
+    against the stored pivot columns until it is zero or its largest
+    row index (its low) has no pivot yet; it is then normalised to low
+    entry 1 and stored as that low's pivot.  The rank is the number of
+    pivots.
+    """
+    p = m.p
+    cols = {}
+    for (i, j), v in m.entries.items():
+        cols.setdefault(j, {})[i] = v
+    pivots = {}
+    for j in sorted(cols):
+        col = cols[j]
+        while col:
+            low = max(col)
+            piv = pivots.get(low)
+            if piv is None:
+                inv = pow(col[low], -1, p)
+                pivots[low] = {i: v * inv % p for i, v in col.items()}
+                break
+            f = col[low]
+            for i, v in piv.items():
+                nv = (col.get(i, 0) - f * v) % p
+                if nv:
+                    col[i] = nv
+                else:
+                    del col[i]
+    return len(pivots)

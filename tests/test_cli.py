@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from dense import from_rows
 
 from raagfp import corpus
 from raagfp.cli import main
@@ -166,17 +167,16 @@ def test_verify_negative_control():
     # a deliberately corrupted boundary must be caught by the same check
     # the verify suites run
     from raagfp.flag_homology import ChainComplexFp
-    from raagfp.fpmatrix import MatrixFp
     from raagfp.verify import chain_condition_witness
     good = ChainComplexFp(
         2, 0, 2, {0: 1, 1: 2, 2: 1},
-        {1: MatrixFp.from_rows([[1, 1]], 2),
-         2: MatrixFp.from_rows([[1], [1]], 2)})
+        {1: from_rows([[1, 1]], 2),
+         2: from_rows([[1], [1]], 2)})
     assert chain_condition_witness(good) is None
     corrupted = ChainComplexFp(
         2, 0, 2, {0: 1, 1: 2, 2: 1},
-        {1: MatrixFp.from_rows([[1, 1]], 2),
-         2: MatrixFp.from_rows([[1], [0]], 2)})
+        {1: from_rows([[1, 1]], 2),
+         2: from_rows([[1], [0]], 2)})
     assert chain_condition_witness(corrupted) == 1
 
 
@@ -203,6 +203,20 @@ def test_gog_dihedral_skip(files, capsys):
     assert res["bounds"]["quotient_clause_skipped"] == "dihedral type"
 
 
+def test_gog_finite_group_is_outside_the_theorem(files, capsys):
+    # Z/2 as an amalgam over the trivial group: every free subgroup of
+    # finite index has rank at most 0, so the bounds do not apply
+    doc = {"vertices": [{"id": "v", "order": 1}, {"id": "w", "order": 2}],
+           "edges": [{"id": "e", "d0": "v", "d1": "w", "order": 1}]}
+    gp = files("finite.json", doc)
+    code = main(["gog", gp])
+    captured = capsys.readouterr()
+    assert code == 3
+    res = json.loads(captured.out)["results"]
+    assert res["bounds"]["rank"] == 0 and res["bounds"]["defect"] is True
+    assert "free rank 0 at index 2" in captured.err
+
+
 def test_json_booleans_are_not_integers(files, capsys):
     g = corpus.edgeless(2)
     gp = files("e2.json", graph_document(g))
@@ -223,6 +237,16 @@ def test_wrong_rank_exits_as_internal_defect(monkeypatch, capsys):
     from raagfp import flag_homology, fpmatrix
     monkeypatch.setattr(flag_homology, "rank_fp",
                         lambda m: fpmatrix.rank_fp(m) + 1)
+    assert main(DEFECT_ARGV) == 4
+    assert capsys.readouterr().err.startswith("error: internal defect")
+
+
+def test_too_low_rank_exits_as_internal_defect(monkeypatch, capsys):
+    # a rank that is too low leaves no negative dimension behind; the
+    # component count of the 1-skeleton catches it
+    from raagfp import flag_homology, fpmatrix
+    monkeypatch.setattr(flag_homology, "rank_fp",
+                        lambda m: max(fpmatrix.rank_fp(m) - 1, 0))
     assert main(DEFECT_ARGV) == 4
     assert capsys.readouterr().err.startswith("error: internal defect")
 

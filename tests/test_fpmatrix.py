@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from dense import from_rows, to_dense
 
+from raagfp.flag_homology import flag_complex, simplicial_chain_complex
 from raagfp.fpmatrix import MatrixFp, check_prime, rank_fp
+from raagfp.graph import SimplicialGraph
 
 
 def dense_rank(rows, p):
@@ -58,8 +61,44 @@ def test_rank_against_dense_oracle(p):
         nc = rng.randint(0, 12)
         dense = [[rng.randint(-p, p) if rng.random() < 0.4 else 0
                   for _ in range(nc)] for _ in range(nr)]
-        m = MatrixFp.from_rows(dense, p)
+        m = from_rows(dense, p)
         assert rank_fp(m) == dense_rank(dense, p)
+
+
+def boundary_test_graphs():
+    """Seeded random graphs on at most 8 vertices, and the k-dimensional
+    cross-polytopes (flag spheres) for k <= 4 in shuffled vertex order."""
+    rng = random.Random("boundary-shapes")
+    for _ in range(20):
+        vs = [f"v{i}" for i in range(rng.randint(1, 8))]
+        density = rng.choice((0.3, 0.6, 0.9))
+        yield SimplicialGraph(vs, [(a, b) for i, a in enumerate(vs)
+                                   for b in vs[i + 1:] if rng.random() < density])
+    for k in range(1, 5):
+        vs = [f"x{i}{s}" for i in range(k) for s in "+-"]
+        rng.shuffle(vs)
+        yield SimplicialGraph(vs, [(a, b) for i, a in enumerate(vs)
+                                   for b in vs[i + 1:] if a[:-1] != b[:-1]])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 2147483647])
+def test_rank_of_flag_boundaries_against_dense_oracle(p):
+    # the matrices rank_fp sees in practice: boundary maps of flag complexes
+    for g in boundary_test_graphs():
+        cx = simplicial_chain_complex(flag_complex(g), p)
+        for m in cx.boundaries.values():
+            assert rank_fp(m) == dense_rank(to_dense(m), p)
+
+
+def test_rank_with_empty_shapes_and_zero_columns():
+    for shape in ((0, 4), (4, 0), (0, 0)):
+        assert rank_fp(MatrixFp(*shape, 3)) == 0
+    # zero columns around the pivots, and a column (the fourth, twice
+    # the second) that reduces to zero against an earlier pivot
+    dense = [[0, 1, 0, 2, 1, 0],
+             [0, 2, 0, 1, 0, 0],
+             [0, 0, 0, 0, 1, 0]]
+    assert rank_fp(from_rows(dense, 3)) == dense_rank(dense, 3) == 2
 
 
 def test_rank_of_rank_deficient_products():
@@ -75,14 +114,14 @@ def test_rank_of_rank_deficient_products():
             for i in range(n):
                 for j in range(n):
                     dense[i][j] = (dense[i][j] + u[i] * v[j]) % p
-        assert rank_fp(MatrixFp.from_rows(dense, p)) <= terms
+        assert rank_fp(from_rows(dense, p)) <= terms
 
 
 def test_mul():
     p = 7
-    a = MatrixFp.from_rows([[1, 2], [3, 4]], p)
-    b = MatrixFp.from_rows([[5, 6], [0, 1]], p)
-    assert a.mul(b).to_dense() == [[5, 8 % 7], [15 % 7, 22 % 7]]
+    a = from_rows([[1, 2], [3, 4]], p)
+    b = from_rows([[5, 6], [0, 1]], p)
+    assert to_dense(a.mul(b)) == [[5, 8 % 7], [15 % 7, 22 % 7]]
     assert a.mul(MatrixFp(2, 3, p)).is_zero()
     with pytest.raises(ValueError):
         a.mul(MatrixFp(3, 3, p))
