@@ -8,15 +8,14 @@ direction lambda are exactly the span-closed proper subsets of the
 columns.  Finite generation and FP_n of the kernel aggregate over those
 patterns.
 
-All arithmetic is exact: fraction-free elimination over Python's
-arbitrary-precision integers, rationals only in nullspace back
-substitution, no floating point anywhere.
+All arithmetic is exact and integer-only: fraction-free elimination
+and back substitution over Python's arbitrary-precision integers, no
+rationals and no floating point anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
@@ -125,23 +124,31 @@ def _in_row_span(echelon, vec) -> bool:
 
 
 def _nullspace_int(rows, width):
-    """Integer vectors spanning {x : rows . x = 0} in dimension width."""
+    """Integer vectors spanning {x : rows . x = 0} in dimension width.
+
+    One vector per free column f: the unique primitive integer vector
+    with x[f] > 0 and zeros at the other free columns.  Back
+    substitution scales the partial vector by each pivot so that the
+    solved entry stays integral; the gcd and sign are fixed at the end.
+    """
     ech, rank = _int_echelon(rows)
     pivots = [next(j for j, x in enumerate(row) if x) for row in ech]
     free = [j for j in range(width) if j not in pivots]
     basis = []
     for f in free:
-        x = [Fraction(0)] * width
-        x[f] = Fraction(1)
+        x = [0] * width
+        x[f] = 1
         for i in range(rank - 1, -1, -1):
             c = pivots[i]
-            s = sum((Fraction(ech[i][j]) * x[j] for j in range(c + 1, width)),
-                    Fraction(0))
-            x[c] = -s / ech[i][c]
-        scale = 1
-        for q in x:
-            scale = scale * q.denominator // gcd(scale, q.denominator)
-        basis.append(tuple(int(q * scale) for q in x))
+            s = sum(ech[i][j] * x[j] for j in range(c + 1, width))
+            x = [xj * ech[i][c] for xj in x]
+            x[c] = -s
+        g = 0
+        for xj in x:
+            g = gcd(g, xj)
+        if x[f] < 0:
+            g = -g
+        basis.append(tuple(xj // g for xj in x))
     return basis
 
 
@@ -166,8 +173,11 @@ def enumerate_patterns(m: CoabelianSpec) -> list:
 
     A pattern is realizable by a nonzero rational direction iff it is
     span-closed and proper; every such pattern is the closure of an
-    independent column subset, so closures of subsets up to the matrix
-    rank cover them all.  Output is sorted by size then vertex order.
+    independent column subset of size below the matrix rank, so closures
+    of the subsets of those sizes cover them all.  A subset of size equal
+    to the rank adds nothing: independent, it spans every column and its
+    closure is not proper; dependent, its closure is that of a smaller
+    independent subset.  Output is sorted by size then vertex order.
     """
     rank = matrix_rank(m)
     if rank == 0:
@@ -176,7 +186,7 @@ def enumerate_patterns(m: CoabelianSpec) -> list:
     n = len(m.vertices)
     cols = [m.column(v) for v in m.vertices]
     seen = set()
-    for size in range(0, rank + 1):
+    for size in range(0, rank):
         for subset in combinations(range(n), size):
             ech, _ = _int_echelon([list(cols[j]) for j in subset])
             closed = frozenset(j for j in range(n) if _in_row_span(ech, cols[j]))
@@ -201,7 +211,7 @@ def _certify(m: CoabelianSpec, cols, zero_idx) -> ZeroPattern:
         if all(_dot(lam, col) for col in outside):
             pattern = ZeroPattern(
                 tuple(m.vertices[j] for j in sorted(zero_idx)), lam)
-            _verify_certificate(m, pattern)
+            _verify_certificate(m, cols, pattern)
             return pattern
     raise InternalDefect("no certificate found; pattern not realizable")
 
@@ -210,10 +220,10 @@ def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
-def _verify_certificate(m: CoabelianSpec, pattern: ZeroPattern):
+def _verify_certificate(m: CoabelianSpec, cols, pattern: ZeroPattern):
     zs = set(pattern.zero_set)
-    for v in m.vertices:
-        d = _dot(pattern.certificate, m.column(v))
+    for v, col in zip(m.vertices, cols):
+        d = _dot(pattern.certificate, col)
         if (d == 0) != (v in zs):
             raise InternalDefect(f"certificate fails at vertex {v!r}")
 

@@ -356,6 +356,8 @@ def analyze(g: SimplicialGraph, chi: Character, max_n: int | None = None
     routes per degree, the decomposition identity and the maximal FP
     level, all read off one link-homology table.  Degrees run from 1 to
     max_n (default: the largest clique size of the graph)."""
+    if max_n is not None and max_n < 1:
+        raise ValueError("n must be >= 1")
     check = require_epimorphism(g, chi)
     supp = check.normalized.support(g)
     links = link_homology_table(g, supp, chi.p)

@@ -27,7 +27,8 @@ def is_prime(n: int) -> bool:
 
 
 def check_prime(p: int) -> int:
-    if not isinstance(p, int) or not is_prime(p) or p >= 2 ** 31:
+    # the bound comes first: trial division on a huge p would not finish
+    if not isinstance(p, int) or p >= 2 ** 31 or not is_prime(p):
         raise ValueError(f"p must be a prime below 2**31, got {p!r}")
     return p
 

@@ -100,7 +100,8 @@ def parse_graph(document) -> SimplicialGraph:
 
     The vertex array order becomes the vertex order.  Edges are
     deduplicated after sorting each pair; self-loops, duplicate vertex
-    ids and unknown endpoints are rejected with the offender named.
+    ids and unknown or non-string endpoints are rejected with the
+    offender named.
     """
     if not isinstance(document, dict):
         raise SchemaError("graph document must be a JSON object")
@@ -114,6 +115,8 @@ def parse_graph(document) -> SimplicialGraph:
     for e in edges:
         if not isinstance(e, (list, tuple)) or len(e) != 2:
             raise SchemaError(f"edge is not a pair: {e!r}")
+        if not all(isinstance(v, str) for v in e):
+            raise SchemaError(f"edge endpoints must be strings: {e!r}")
         pairs.append((e[0], e[1]))
     return SimplicialGraph(verts, pairs)
 

@@ -56,10 +56,20 @@ def test_fg_exit_codes(files, capsys):
 
 
 def test_schema_error_exit(files, capsys):
-    gp = files("bad.json", {"vertices": ["a"], "edges": [["a", "a"]]})
-    cp = files("chi.json", {"p": 2, "chi": {"a": 1}})
-    code, _ = run(capsys, ["fg", gp, cp])
-    assert code == 2
+    cp = files("chi.json", {"p": 2, "chi": {"a": 1, "b": 1}})
+    # a self-loop, then endpoints that are not strings
+    for edge in (["a", "a"], [["a"], "b"], ["a", {"b": 1}], [1, "b"],
+                 ["a", None]):
+        gp = files("bad.json", {"vertices": ["a", "b"], "edges": [edge]})
+        code, _ = run(capsys, ["fg", gp, cp])
+        assert code == 2
+
+
+def test_fpn_rejects_max_n_below_one(files, capsys):
+    gp, cp = c4_files(files)
+    for n in ("0", "-1"):
+        code, out = run(capsys, ["fpn", gp, cp, "--max-n", n])
+        assert code == 2 and out == ""
 
 
 def test_fpn_report_and_determinism(files, capsys):

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 
 from raagfp import corpus, fpcheck
-from raagfp.coabelian import (CoabelianSpec, _in_row_span, _int_echelon,
-                              _nullspace_int, enumerate_patterns,
+from raagfp.coabelian import (CoabelianSpec, ZeroPattern, _in_row_span,
+                              _int_echelon, _nullspace_int, enumerate_patterns,
                               fg_coabelian, fpn_coabelian, is_full,
                               matrix_rank, parse_matrix, span_closure)
 from raagfp.errors import FiniteQuotientError, SchemaError
@@ -67,6 +69,53 @@ def test_integer_elimination_against_rational_oracle():
                    for b in basis for r in rows)
 
 
+def nullspace_fraction(rows, width):
+    """Rational back substitution, then the lcm of the denominators: the
+    reference for the integer-only back substitution in _nullspace_int."""
+    ech, rank = _int_echelon(rows)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in ech]
+    free = [j for j in range(width) if j not in pivots]
+    basis = []
+    for f in free:
+        x = [Fraction(0)] * width
+        x[f] = Fraction(1)
+        for i in range(rank - 1, -1, -1):
+            c = pivots[i]
+            s = sum((Fraction(ech[i][j]) * x[j] for j in range(c + 1, width)),
+                    Fraction(0))
+            x[c] = -s / ech[i][c]
+        scale = 1
+        for q in x:
+            scale = scale * q.denominator // gcd(scale, q.denominator)
+        basis.append(tuple(int(q * scale) for q in x))
+    return basis
+
+
+def test_nullspace_against_rational_back_substitution():
+    rng = random.Random("nullspace")
+    checked = 0
+    for _ in range(1500):
+        width = rng.randint(1, 5)
+        nr = rng.randint(0, 5)
+        rows = [[rng.randint(-7, 7) for _ in range(width)] for _ in range(nr)]
+        if nr and rng.random() < 0.3:           # a zero row
+            rows[rng.randrange(nr)] = [0] * width
+        if nr >= 2 and rng.random() < 0.5:      # a dependent row
+            i, j, t = rng.randrange(nr), rng.randrange(nr), rng.randrange(nr)
+            rows[i] = [rng.randint(-3, 3) * a + rng.randint(-3, 3) * b
+                       for a, b in zip(rows[j], rows[t])]
+        basis = _nullspace_int(rows, width)
+        assert basis == nullspace_fraction(rows, width)
+        for b in basis:
+            assert all(type(x) is int for x in b)
+            g = 0
+            for x in b:
+                g = gcd(g, x)
+            assert g == 1                       # primitive
+        checked += len(basis)
+    assert checked > 1000
+
+
 # span closure
 
 def test_span_closure_examples():
@@ -109,6 +158,57 @@ def test_enumerate_patterns_examples():
     g3 = corpus.path(3)
     pats = enumerate_patterns(spec_for(g3, [[3, 0, -6]]))
     assert [p.zero_set for p in pats] == [("v2",)]  # k=1: the zero columns
+
+
+def reference_patterns(m):
+    """Closures of every column subset of size up to the rank, certified
+    by a search over rational nullspace combinations: the reference for
+    enumerate_patterns, which stops one size below the rank."""
+    rank = matrix_rank(m)
+    n = len(m.vertices)
+    cols = [m.column(v) for v in m.vertices]
+    seen = set()
+    for size in range(0, rank + 1):
+        for subset in combinations(range(n), size):
+            ech, _ = _int_echelon([list(cols[j]) for j in subset])
+            closed = frozenset(j for j in range(n) if _in_row_span(ech, cols[j]))
+            if len(closed) < n:
+                seen.add(closed)
+    out = []
+    for zs in sorted(seen, key=lambda s: (len(s), sorted(s))):
+        inside = [list(cols[j]) for j in sorted(zs)]
+        basis = nullspace_fraction(inside, m.k) if inside else \
+            [tuple(1 if i == j else 0 for j in range(m.k)) for i in range(m.k)]
+        for t in range(1, 10000):
+            lam = tuple(sum(t ** i * b[j] for i, b in enumerate(basis))
+                        for j in range(m.k))
+            if all(sum(a * b for a, b in zip(lam, cols[j]))
+                   for j in range(n) if j not in zs):
+                break
+        out.append(ZeroPattern(tuple(m.vertices[j] for j in sorted(zs)), lam))
+    return out
+
+
+def test_enumerate_patterns_against_subsets_up_to_the_rank():
+    rng = random.Random("below-rank")
+    compared = 0
+    for _ in range(120):
+        n, k = rng.randint(1, 8), rng.randint(1, 4)
+        m = random_spec(rng, n, k, bound=rng.choice((1, 2, 3)))
+        if n >= 2 and rng.random() < 0.4:       # repeated and zero columns
+            rows = [list(r) for r in m.rows]
+            i, j = rng.sample(range(n), 2)
+            c = rng.choice((-2, -1, 1, 2))
+            for r in rows:
+                r[i] = r[j] * c
+                if rng.random() < 0.3:
+                    r[rng.randrange(n)] = 0
+            m = CoabelianSpec(2, tuple(map(tuple, rows)), m.vertices)
+        if matrix_rank(m) == 0:
+            continue
+        assert enumerate_patterns(m) == reference_patterns(m)
+        compared += 1
+    assert compared > 100
 
 
 def test_enumerate_patterns_rank_zero():
