@@ -1,7 +1,8 @@
 """Command-line front end: raagfp {fg|fpn|table|coabelian|verify|gog}.
 
 Exit codes: 0 verdict true (or clean run), 1 verdict false (or suite
-failure), 2 malformed input or bad arguments, 3 inapplicable analysis
+failure), 2 malformed input or bad arguments (a RAAGFP_JOBS that is not
+an integer included), 3 inapplicable analysis
 (zero character, rank-0 matrix, index bounds violated on a graph of
 groups whose free rank is below 2), 4 internal defect (a failed
 self-check, route disagreement or a violated index bound on input that
@@ -205,6 +206,10 @@ def cmd_coabelian(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    if args.max_vertices < 1:
+        raise ValueError(f"--max-vertices must be >= 1, got {args.max_vertices}")
     results = verify.run_all(seed=args.seed, trials=args.trials,
                              max_vertices=args.max_vertices, jobs=args.jobs)
     doc = _report("verify",
@@ -242,8 +247,16 @@ def cmd_gog(args) -> int:
     return EXIT_DEFECT
 
 
+def _default_jobs() -> int:
+    raw = os.environ.get("RAAGFP_JOBS", "1")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"RAAGFP_JOBS must be an integer, got {raw!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    default_jobs = int(os.environ.get("RAAGFP_JOBS", "1"))
+    default_jobs = _default_jobs()
     top = argparse.ArgumentParser(
         prog="raagfp",
         description="Finite generation and FP_n for kernels of characters "
@@ -302,8 +315,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.run(args)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)

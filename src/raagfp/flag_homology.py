@@ -84,6 +84,14 @@ class ChainComplexFp:
     complex of a character keeps its bottom rung (the augmentation
     receiving the empty clique) for display, but its chain condition
     and homology start at degree 1.
+
+    All boundary ranks come from one top-down pass with clearing: d_n
+    is reduced after d_(n+1), skipping the columns that are lows of
+    d_(n+1)'s pivots.  A reduced column of d_(n+1) is a boundary, hence
+    a cycle of d_n, whose largest basis index is its low, so that column
+    of d_n is a combination of earlier ones and would reduce to zero.
+    This needs d_n . d_(n+1) = 0, so only d_n with n >= chain_floor is
+    cleared.
     """
 
     __slots__ = ("p", "lo", "hi", "dims", "boundaries", "chain_floor",
@@ -99,7 +107,7 @@ class ChainComplexFp:
         self.dims = {n: int(dims.get(n, 0)) for n in range(lo, hi + 1)}
         self.boundaries = dict(boundaries)
         self.chain_floor = lo if chain_floor is None else chain_floor
-        self._ranks = {}
+        self._ranks = None
         for n, m in self.boundaries.items():
             if not (lo < n <= hi):
                 raise ValueError(f"boundary degree out of range: {n}")
@@ -116,9 +124,22 @@ class ChainComplexFp:
         return MatrixFp(rows, cols, self.p)
 
     def boundary_rank(self, n: int) -> int:
-        if n not in self._ranks:
-            self._ranks[n] = rank_fp(self.boundary(n)) if n in self.boundaries else 0
-        return self._ranks[n]
+        if self._ranks is None:
+            self._ranks = self._reduce()
+        return self._ranks.get(n, 0)
+
+    def _reduce(self) -> dict:
+        """Rank of every nonzero boundary, top degree first, clearing
+        each d_n with n >= chain_floor by the lows of d_(n+1)."""
+        ranks = {}
+        lows = set()                    # lows of d_(n+1)
+        for n in range(self.hi, self.lo, -1):
+            cleared = lows if n >= self.chain_floor else frozenset()
+            lows = set()
+            if n in self.boundaries:
+                ranks[n] = rank_fp(self.boundaries[n], cleared=cleared,
+                                   lows=lows)
+        return ranks
 
     def dd_violation(self):
         """First degree n >= chain_floor with d_n . d_(n+1) != 0, else None."""
@@ -143,7 +164,8 @@ def simplicial_chain_complex(k: FlagComplex, p: int, augmented: bool = True
     """Chain complex of a flag complex; size-n cliques sit in degree n-1.
 
     With ``augmented`` the complex gains degree -1 of dimension 1 and
-    the map sending every vertex to 1.
+    the map sending every vertex to 1.  Each boundary is built column by
+    column, one column per simplex, with entries +1 and -1 mod p.
     """
     check_prime(p)
     lo = -1 if augmented else 0
@@ -153,19 +175,15 @@ def simplicial_chain_complex(k: FlagComplex, p: int, augmented: bool = True
         dims[d] = len(k.group(d + 1))
     boundaries = {}
     if augmented and dims.get(0):
-        boundaries[0] = MatrixFp(1, dims[0], p,
-                                 {(0, j): 1 for j in range(dims[0])})
+        boundaries[0] = MatrixFp.from_columns(1, p,
+                                              [{0: 1} for _ in range(dims[0])])
     for d in range(1, k.dim + 1):
         index_below = {simplex: i for i, simplex in enumerate(k.group(d))}
-        entries = {}
-        for j, simplex in enumerate(k.group(d + 1)):
-            sign = 1
-            for pos in range(len(simplex)):
-                face = simplex[:pos] + simplex[pos + 1:]
-                i = index_below[face]
-                entries[(i, j)] = (entries.get((i, j), 0) + sign) % p
-                sign = -sign
-        boundaries[d] = MatrixFp(dims[d - 1], dims[d], p, entries)
+        signs = [1 if pos % 2 == 0 else p - 1 for pos in range(d + 1)]
+        boundaries[d] = MatrixFp.from_columns(dims[d - 1], p, [
+            {index_below[simplex[:pos] + simplex[pos + 1:]]: sign
+             for pos, sign in enumerate(signs)}
+            for simplex in k.group(d + 1)])
     return ChainComplexFp(p, lo, hi, dims, boundaries)
 
 

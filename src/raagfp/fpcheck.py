@@ -162,19 +162,14 @@ def character_complex(g: SimplicialGraph, chi: Character) -> ChainComplexFp:
     dims = {-1: 1}
     for n in range(0, top + 1):
         dims[n] = len(groups[n])
-    boundaries = {0: MatrixFp(1, 1, p, {(0, 0): 1})}
+    boundaries = {0: MatrixFp.from_columns(1, p, [{0: 1}])}
     for n in range(1, top + 1):
         index_below = {c: i for i, c in enumerate(groups[n - 1])}
-        entries = {}
-        for j, clique in enumerate(groups[n]):
-            sign = 1
-            for pos, v in enumerate(clique):
-                if chi.values[v] != 0:
-                    face = clique[:pos] + clique[pos + 1:]
-                    i = index_below[face]
-                    entries[(i, j)] = (entries.get((i, j), 0) + sign) % p
-                sign = -sign
-        boundaries[n] = MatrixFp(dims[n - 1], dims[n], p, entries)
+        signs = [1 if pos % 2 == 0 else p - 1 for pos in range(n)]
+        boundaries[n] = MatrixFp.from_columns(dims[n - 1], p, [
+            {index_below[clique[:pos] + clique[pos + 1:]]: sign
+             for pos, sign in enumerate(signs) if chi.values[clique[pos]] != 0}
+            for clique in groups[n]])
     return ChainComplexFp(p, -1, top, dims, boundaries, chain_floor=1)
 
 

@@ -1,10 +1,16 @@
 """Sparse matrices and exact rank computation over prime fields.
 
-Entries are stored reduced mod p with zeros absent, so arithmetic is
-exact by construction.  Rank is a sparse column reduction, the one
-persistent homology uses (Edelsbrunner-Letscher-Zomorodian; Bauer's
-Ripser): columns are reduced left to right against a dict of pivot
-columns keyed by their largest row index.  Any prime p < 2**31 works.
+A matrix is stored by column: one {row: value} dict per column, with
+values reduced mod p and zeros absent, so arithmetic is exact by
+construction.  Rank is a sparse column reduction, the one persistent
+homology uses (Edelsbrunner-Letscher-Zomorodian; Bauer's Ripser):
+columns are reduced left to right against a dict of pivot columns keyed
+by their largest row index (their low).  Any prime p < 2**31 works.
+
+``rank_fp`` can skip a set of columns and report the lows of its pivot
+columns.  ``ChainComplexFp`` uses both for clearing (Chen-Kerber,
+"Persistent homology computation with a twist"): the lows of d_(n+1)
+are columns of d_n that reduce to zero, so they are never reduced.
 """
 
 from __future__ import annotations
@@ -34,9 +40,14 @@ def check_prime(p: int) -> int:
 
 
 class MatrixFp:
-    """Sparse rows x cols matrix over the field with p elements."""
+    """Sparse rows x cols matrix over the field with p elements.
 
-    __slots__ = ("rows", "cols", "p", "entries")
+    ``columns[j]`` maps the row index of each nonzero entry of column j
+    to its value in 1..p-1.  The constructor takes ``(i, j) -> value``
+    entries, checks their bounds and reduces them mod p.
+    """
+
+    __slots__ = ("rows", "cols", "p", "columns")
 
     def __init__(self, rows: int, cols: int, p: int, entries=None):
         check_prime(p)
@@ -45,39 +56,51 @@ class MatrixFp:
         self.rows = rows
         self.cols = cols
         self.p = p
-        cleaned = {}
+        self.columns = [{} for _ in range(cols)]
         for (i, j), v in (entries or {}).items():
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"entry index out of bounds: {(i, j)}")
             v %= p
             if v:
-                cleaned[(i, j)] = v
-        self.entries = cleaned
+                self.columns[j][i] = v
+
+    @classmethod
+    def from_columns(cls, rows: int, p: int, columns: list) -> "MatrixFp":
+        """The matrix with these columns, taken as they are: every row
+        index must lie in 0..rows-1 and every value in 1..p-1."""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m.p, m.columns = rows, len(columns), check_prime(p), columns
+        return m
+
+    @property
+    def entries(self) -> dict:
+        """The nonzero entries as an ``(i, j) -> value`` dict."""
+        return {(i, j): v for j, col in enumerate(self.columns)
+                for i, v in col.items()}
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not any(self.columns)
 
     def nnz(self) -> int:
-        return len(self.entries)
+        return sum(map(len, self.columns))
 
     def mul(self, other: "MatrixFp") -> "MatrixFp":
         if self.cols != other.rows or self.p != other.p:
             raise ValueError("incompatible shapes or moduli")
         p = self.p
-        orows = [{} for _ in range(other.rows)]
-        for (k, j), v in other.entries.items():
-            orows[k][j] = v
-        acc = {}
-        for (i, k), va in self.entries.items():
-            for j, vb in orows[k].items():
-                key = (i, j)
-                acc[key] = (acc.get(key, 0) + va * vb) % p
-        return MatrixFp(self.rows, other.cols, p, acc)
+        out = []
+        for bcol in other.columns:
+            acc = {}
+            for k, vb in bcol.items():
+                for i, va in self.columns[k].items():
+                    acc[i] = (acc.get(i, 0) + va * vb) % p
+            out.append({i: v for i, v in acc.items() if v})
+        return MatrixFp.from_columns(self.rows, p, out)
 
     def __eq__(self, other):
         return (isinstance(other, MatrixFp) and self.rows == other.rows
                 and self.cols == other.cols and self.p == other.p
-                and self.entries == other.entries)
+                and self.columns == other.columns)
 
     def __hash__(self):
         return hash((self.rows, self.cols, self.p, frozenset(self.entries.items())))
@@ -86,29 +109,33 @@ class MatrixFp:
         return f"MatrixFp({self.rows}x{self.cols} mod {self.p}, nnz={self.nnz()})"
 
 
-def rank_fp(m: MatrixFp) -> int:
-    """Rank of m over the field with m.p elements.
+def rank_fp(m: MatrixFp, cleared=frozenset(), lows=None) -> int:
+    """Rank over the field with m.p elements of m without the columns
+    whose indices are in ``cleared``.
 
-    Column reduction: each column, as a {row: value} dict, is reduced
-    against the stored pivot columns until it is zero or its largest
-    row index (its low) has no pivot yet; it is then normalised to low
-    entry 1 and stored as that low's pivot.  The rank is the number of
-    pivots.
+    Column reduction: each column is reduced against the stored pivot
+    columns until it is zero or its largest row index (its low) has no
+    pivot yet; it is then normalised to low entry 1 and stored as that
+    low's pivot.  The rank is the number of pivots.  When ``lows`` is a
+    set, the low of every pivot is added to it.  The columns of m are
+    not modified.
     """
     p = m.p
-    cols = {}
-    for (i, j), v in m.entries.items():
-        cols.setdefault(j, {})[i] = v
     pivots = {}
-    for j in sorted(cols):
-        col = cols[j]
+    for j, column in enumerate(m.columns):
+        if not column or j in cleared:
+            continue
+        col = column
         while col:
             low = max(col)
             piv = pivots.get(low)
             if piv is None:
                 inv = pow(col[low], -1, p)
-                pivots[low] = {i: v * inv % p for i, v in col.items()}
+                pivots[low] = col if inv == 1 else {i: v * inv % p
+                                                    for i, v in col.items()}
                 break
+            if col is column:
+                col = dict(column)
             f = col[low]
             for i, v in piv.items():
                 nv = (col.get(i, 0) - f * v) % p
@@ -116,4 +143,6 @@ def rank_fp(m: MatrixFp) -> int:
                     col[i] = nv
                 else:
                     del col[i]
+    if lows is not None:
+        lows.update(pivots)
     return len(pivots)

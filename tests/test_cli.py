@@ -167,6 +167,26 @@ def test_verify_smoke(files, capsys):
     assert len(doc["results"]["suites"]) == 6
 
 
+def test_verify_rejects_trials_and_max_vertices_below_one(capsys):
+    for flag, value in (("--trials", "0"), ("--trials", "-3"),
+                        ("--max-vertices", "0"), ("--max-vertices", "-1")):
+        code = main(["verify", flag, value])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {flag} must be >= 1, got {value}\n"
+
+
+def test_malformed_jobs_environment_exits_2(files, capsys, monkeypatch):
+    # the variable is read for every command, also those without --jobs
+    gp, cp = c4_files(files)
+    monkeypatch.setenv("RAAGFP_JOBS", "abc")
+    for argv in (["fg", gp, cp], ["verify", "--trials", "1"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: RAAGFP_JOBS must be an integer")
+
+
 def test_verify_jobs_do_not_change_the_report(capsys):
     argv = ["verify", "--trials", "5", "--max-vertices", "5", "--seed", "3"]
     assert run(capsys, argv + ["--jobs", "1"]) == \
@@ -246,7 +266,7 @@ DEFECT_ARGV = ["fpn", str(CORPUS / "cycle4.graph.json"),
 def test_wrong_rank_exits_as_internal_defect(monkeypatch, capsys):
     from raagfp import flag_homology, fpmatrix
     monkeypatch.setattr(flag_homology, "rank_fp",
-                        lambda m: fpmatrix.rank_fp(m) + 1)
+                        lambda m, **kw: fpmatrix.rank_fp(m, **kw) + 1)
     assert main(DEFECT_ARGV) == 4
     assert capsys.readouterr().err.startswith("error: internal defect")
 
@@ -256,7 +276,7 @@ def test_too_low_rank_exits_as_internal_defect(monkeypatch, capsys):
     # component count of the 1-skeleton catches it
     from raagfp import flag_homology, fpmatrix
     monkeypatch.setattr(flag_homology, "rank_fp",
-                        lambda m: max(fpmatrix.rank_fp(m) - 1, 0))
+                        lambda m, **kw: max(fpmatrix.rank_fp(m, **kw) - 1, 0))
     assert main(DEFECT_ARGV) == 4
     assert capsys.readouterr().err.startswith("error: internal defect")
 
@@ -265,7 +285,8 @@ def test_wrong_rank_exits_as_internal_defect_under_optimize():
     # python -O strips assert statements; the self-checks must survive
     script = ("import sys\n"
               "from raagfp import cli, flag_homology, fpmatrix\n"
-              "flag_homology.rank_fp = lambda m: fpmatrix.rank_fp(m) + 1\n"
+              "flag_homology.rank_fp = "
+              "lambda m, **kw: fpmatrix.rank_fp(m, **kw) + 1\n"
               f"sys.exit(cli.main({DEFECT_ARGV!r}))\n")
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ,

@@ -3,7 +3,9 @@ import random
 import pytest
 from dense import from_rows, to_dense
 
+from raagfp import corpus
 from raagfp.flag_homology import flag_complex, simplicial_chain_complex
+from raagfp.fpcheck import Character, character_complex
 from raagfp.fpmatrix import MatrixFp, check_prime, rank_fp
 from raagfp.graph import SimplicialGraph
 
@@ -88,6 +90,61 @@ def test_rank_of_flag_boundaries_against_dense_oracle(p):
         cx = simplicial_chain_complex(flag_complex(g), p)
         for m in cx.boundaries.values():
             assert rank_fp(m) == dense_rank(to_dense(m), p)
+
+
+def shuffled_cross_polytopes():
+    """The cross-polytopes k = 3..5 (flag spheres up to 243 cliques),
+    each in two shuffled vertex orders."""
+    rng = random.Random("clearing-spheres")
+    for k in (3, 4, 5):
+        for _ in range(2):
+            vs = [f"x{i}{s}" for i in range(k) for s in "+-"]
+            rng.shuffle(vs)
+            yield SimplicialGraph(vs, [(a, b) for i, a in enumerate(vs)
+                                       for b in vs[i + 1:] if a[:-1] != b[:-1]])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 2147483647])
+def test_boundary_ranks_with_clearing_against_dense_oracle(p):
+    # ChainComplexFp ranks every boundary top-down, skipping the columns
+    # of d_n that are lows of d_(n+1); each rank must still be the rank
+    # of the whole matrix
+    rng = random.Random(f"clearing:{p}")
+    graphs = list(boundary_test_graphs()) + list(shuffled_cross_polytopes())
+    for g in graphs:
+        for augmented in (True, False):
+            cx = simplicial_chain_complex(flag_complex(g), p, augmented)
+            for n in range(cx.lo, cx.hi + 2):
+                assert cx.boundary_rank(n) == \
+                    dense_rank(to_dense(cx.boundary(n)), p), (g, augmented, n)
+        # the support complex: its augmentation rung d_0 is not squared
+        # against d_1, so d_0 must not be cleared
+        values = {v: rng.choice((0, 1, -1, 2)) for v in g.vertices}
+        cx = character_complex(g, Character(p, values))
+        for n in range(cx.lo, cx.hi + 2):
+            assert cx.boundary_rank(n) == \
+                dense_rank(to_dense(cx.boundary(n)), p), (g, values, n)
+    c4 = corpus.cycle(4)
+    cx = character_complex(c4, corpus.ones_character(c4, p))
+    assert [cx.boundary_rank(n) for n in (0, 1, 2)] == [1, 1, 3]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 2147483647])
+def test_rank_of_cleared_columns_against_dense_submatrix(p):
+    rng = random.Random(f"cleared:{p}")
+    for _ in range(40):
+        nr, nc = rng.randint(0, 10), rng.randint(0, 10)
+        dense = [[rng.randint(-p, p) if rng.random() < 0.4 else 0
+                  for _ in range(nc)] for _ in range(nr)]
+        cleared = frozenset(j for j in range(nc) if rng.random() < 0.3)
+        kept = [[row[j] for j in range(nc) if j not in cleared] for row in dense]
+        lows = set()
+        rank = rank_fp(from_rows(dense, p), cleared=cleared, lows=lows)
+        assert rank == dense_rank(kept, p)
+        # one low per pivot, each a row index
+        assert len(lows) == rank and lows <= set(range(nr))
+        # the uncleared call is the reference and sees every column
+        assert rank_fp(from_rows(dense, p)) == dense_rank(dense, p)
 
 
 def test_rank_with_empty_shapes_and_zero_columns():
