@@ -3,13 +3,26 @@
 A size-k clique spans a (k-1)-simplex.  All boundary signs use the
 fixed vertex order of the ambient graph: removing the vertex in 1-based
 position i contributes the sign (-1)**(i-1).
+
+Two routes lead to the same reduced homology.  ``mask_reduced_homology``
+is the one the decision procedures use: it takes a vertex set as a
+bitmask of the ambient graph (a link is the support mask ANDed with the
+adjacency masks of the clique's members), deletes dominated vertices
+until none is left (a strong collapse, which keeps the homotopy type),
+and builds the boundary columns of what remains straight from clique
+masks: a face of c is ``c ^ bit`` and its sign is the parity of the
+bit's position in c.  The tuple route ``link_complex`` -> ``flag_complex``
+-> ``simplicial_chain_complex`` -> ``reduced_homology`` builds the
+uncollapsed complex with named simplices; it is the oracle of the
+``verify`` suites and the tests.
 """
 
 from __future__ import annotations
 
 from .errors import InternalDefect, SchemaError
 from .fpmatrix import MatrixFp, check_prime, rank_fp
-from .graph import SimplicialGraph, enumerate_cliques, induced_subgraph
+from .graph import (SimplicialGraph, clique_masks, component_count,
+                    enumerate_cliques, induced_subgraph, strong_collapse)
 
 
 class FlagComplex:
@@ -196,16 +209,67 @@ def reduced_homology(k: FlagComplex, p: int) -> dict:
     of connected components of the 1-skeleton.
     """
     h = simplicial_chain_complex(k, p, augmented=True).homology()
-    if h[-1] != (1 if k.is_empty else 0):
-        raise InternalDefect(f"reduced homology in degree -1 is {h[-1]} "
-                             f"on a complex with {k.vertex_count()} vertices")
-    if not k.is_empty:
-        components = _components(k)
-        if h[0] + 1 != components:
-            raise InternalDefect(f"reduced homology in degree 0 is {h[0]}, "
-                                 f"but the 1-skeleton has {components} "
-                                 f"connected components")
+    _check_low_degrees(h, k.vertex_count(),
+                       _components(k) if k.vertex_count() else 0)
     return h
+
+
+def _check_low_degrees(h: dict, vertices: int, components: int):
+    """Raise InternalDefect unless h_-1 is 1 exactly on the complex with
+    no vertices and h_0 + 1 is the component count of any other."""
+    if h[-1] != (0 if vertices else 1):
+        raise InternalDefect(f"reduced homology in degree -1 is {h[-1]} "
+                             f"on a complex with {vertices} vertices")
+    if vertices and h[0] + 1 != components:
+        raise InternalDefect(f"reduced homology in degree 0 is {h[0]}, "
+                             f"but the 1-skeleton has {components} "
+                             f"connected components")
+
+
+def mask_reduced_homology(adj, vset: int, p: int) -> dict:
+    """Reduced homology dimensions over F_p of the flag complex on the
+    vertex set ``vset`` of the graph with adjacency masks ``adj``.
+
+    The complex is strong-collapsed first, so the result lists degrees
+    -1 .. dim of the collapsed complex, which may stop below dim of the
+    original; every degree it leaves out has dimension 0.  The h_-1 and
+    h_0 self-checks compare with the emptiness and the component count
+    of the original vertex set.
+    """
+    core = strong_collapse(adj, vset)
+    h = _mask_chain_complex(adj, core, p).homology()
+    _check_low_degrees(h, vset.bit_count(), component_count(adj, vset))
+    return h
+
+
+def _mask_chain_complex(adj, vset: int, p: int) -> ChainComplexFp:
+    """Augmented chain complex of the flag complex on vset.
+
+    Degree k-1 has one basis element per size-k clique, in the order of
+    ``clique_masks``; degree -1 holds the empty clique.  Removing the
+    bit in 0-based position i of a clique gives the face with sign
+    (-1)**i, so d_0 sends every vertex to 1.
+    """
+    check_prime(p)
+    groups = clique_masks(adj, vset)
+    signs = [1 if pos % 2 == 0 else p - 1 for pos in range(len(groups))]
+    boundaries = {}
+    for k in range(1, len(groups)):
+        index_below = {c: i for i, c in enumerate(groups[k - 1])}
+        columns = []
+        for c in groups[k]:
+            column = {}
+            rest, pos = c, 0
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                column[index_below[c ^ bit]] = signs[pos]
+                pos += 1
+            columns.append(column)
+        boundaries[k - 1] = MatrixFp.from_columns(len(groups[k - 1]), p,
+                                                  columns)
+    dims = {k - 1: len(group) for k, group in enumerate(groups)}
+    return ChainComplexFp(p, -1, len(groups) - 2, dims, boundaries)
 
 
 def _components(k: FlagComplex) -> int:

@@ -22,11 +22,18 @@ concatenation S.T; then block S is the augmented chain complex of the
 link of S, with its differential multiplied by (-1)**|S| and degree n
 of the block sitting in link degree n-1-|S|.  So the support-complex
 homology in degree n is the sum over S of the reduced link homology in
-degree n-1-|S|, and ``analyze`` and ``max_fp`` read both route columns
-and the decomposition block off one link-homology table.  The unsplit
-support complex (``character_complex``) is built only by the oracles
-``fp_via_complex`` and ``decomposition_check``, which the verify suites
-and the tests run against the link table.
+degree n-1-|S|, and ``analyze`` and ``max_fp`` read both route columns,
+the decomposition block and finite generation (FP_1, h_1 = 0) off one
+link-homology table.  The table builds each link as a bitmask, the
+support mask ANDed with the adjacency masks of S, and takes its
+homology after a strong collapse (``flag_homology.mask_reduced_homology``),
+so a link's entry may list fewer degrees than the link has; the top
+degree of the support complex is therefore the largest clique size of
+the graph, not a link's top.  The unsplit support complex
+(``character_complex``) and the uncollapsed links (``link_complex``) are
+built only by the oracles ``fp_via_complex``, ``fp_via_links`` and
+``decomposition_check``, which the verify suites and the tests run
+against the link table.
 """
 
 from __future__ import annotations
@@ -35,11 +42,13 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import EpimorphismError, SchemaError
+# reduced_homology, the tuple-route oracle, is not called here; the
+# binding stays because perfbench/spans.py wraps it
 from .flag_homology import (ChainComplexFp, is_k_acyclic, link_complex,
-                            reduced_homology)
+                            mask_reduced_homology, reduced_homology)
 from .fpmatrix import MatrixFp, check_prime
-from .graph import SimplicialGraph, enumerate_cliques, induced_subgraph, \
-    is_connected, is_dominant
+from .graph import SimplicialGraph, clique_number, enumerate_cliques, \
+    induced_subgraph, is_connected, is_dominant
 
 INFINITE = math.inf
 
@@ -182,20 +191,34 @@ def outside_cliques(g: SimplicialGraph, support) -> list:
 
 
 def link_homology_table(g: SimplicialGraph, support, p: int) -> dict:
-    """Reduced homology dims of every outside clique's restricted link."""
-    return {s: reduced_homology(link_complex(g, support, s), p)
-            for s in outside_cliques(g, support)}
+    """Reduced homology dims of every outside clique's restricted link.
+
+    The link of S is the support mask ANDed with the adjacency masks of
+    S's members; its homology is that of its strong collapse, so the
+    degrees listed for a link may stop below its dimension (the missing
+    ones are 0).
+    """
+    adj = g.masks
+    supp = g.mask(support)
+    table = {}
+    for s in outside_cliques(g, support):
+        link = supp
+        for v in s:
+            link &= adj[g.index(v)]
+        table[s] = mask_reduced_homology(adj, link, p)
+    return table
 
 
-def homology_from_links(links: dict) -> dict:
-    """Support-complex homology dims, degrees 1 .. largest clique size,
-    read off a link_homology_table.
+def homology_from_links(g: SimplicialGraph, links: dict) -> dict:
+    """Support-complex homology dims, degrees 1 .. the largest clique
+    size of g, read off g's link_homology_table.
 
     Block S contributes its link's reduced homology in degree n-1-|S|
-    to degree n.  The largest clique whose outside part is S has |S|
-    vertices plus one more than the top degree of the link of S.
+    to degree n.  A largest clique of g is an outside part S together
+    with a largest clique of the link of S, so no block has chains
+    above that degree; the collapsed links in the table may stop lower.
     """
-    top = max(len(s) + 1 + max(dims) for s, dims in links.items())
+    top = clique_number(g.masks, (1 << len(g)) - 1)
     return {n: sum(dims.get(n - 1 - len(s), 0) for s, dims in links.items())
             for n in range(1, top + 1)}
 
@@ -270,7 +293,8 @@ def decomposition_check(g: SimplicialGraph, chi: Character) -> DecompositionRepo
     """
     cx = character_complex(g, chi)
     h = cx.homology()
-    sums = homology_from_links(link_homology_table(g, chi.support(g), chi.p))
+    links = link_homology_table(g, chi.support(g), chi.p)
+    sums = homology_from_links(g, links)
     return DecompositionReport(tuple(
         DecompositionRow(n, h.get(n, 0), sums.get(n, 0))
         for n in range(1, cx.hi + 1)))
@@ -282,7 +306,7 @@ def max_fp(g: SimplicialGraph, chi: Character):
     with non-finitely-generated kernel reports 0."""
     check = require_epimorphism(g, chi)
     supp = check.normalized.support(g)
-    return _level(homology_from_links(link_homology_table(g, supp, chi.p)))
+    return _level(homology_from_links(g, link_homology_table(g, supp, chi.p)))
 
 
 @dataclass(frozen=True)
@@ -356,7 +380,7 @@ def analyze(g: SimplicialGraph, chi: Character, max_n: int | None = None
     check = require_epimorphism(g, chi)
     supp = check.normalized.support(g)
     links = link_homology_table(g, supp, chi.p)
-    h = homology_from_links(links)
+    h = homology_from_links(g, links)
     upto = len(h) if max_n is None else max_n
 
     rows = []
@@ -374,7 +398,9 @@ def analyze(g: SimplicialGraph, chi: Character, max_n: int | None = None
     # unsplit complex is compared with it only in decomposition_check
     deco = DecompositionReport(tuple(DecompositionRow(n, dim, dim)
                                      for n, dim in h.items()))
-    return FpnReport(p=chi.p, support=g.sorted(supp), fg=is_fg(g, chi),
+    # fg is FP_1: h_1 = 0 says the S = () link is nonempty and connected
+    # and every outside vertex has a nonempty link
+    return FpnReport(p=chi.p, support=g.sorted(supp), fg=h[1] == 0,
                      rescaled_by_power=check.rescaled_by_power,
                      degrees=tuple(rows), max_fp=_level(h),
                      decomposition=deco, graph=g)

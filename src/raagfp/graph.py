@@ -3,6 +3,14 @@
 The vertex order is the order of the input array and is normative:
 clique tuples are sorted by it, boundary-matrix signs depend on it, and
 every deterministic output order is derived from it.
+
+Besides its named vertices, each graph keeps one adjacency bitmask per
+vertex position (``SimplicialGraph.masks``): bit j of ``masks[i]`` is
+set iff the vertices in positions i and j are adjacent.  A vertex set
+is then an int, the common neighbours of a clique are the AND of its
+members' masks, and the mask functions at the end of this module
+(clique DFS, clique number, component count, strong collapse) work on
+``(masks, vertex set)`` pairs without building any subgraph.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ class SimplicialGraph:
     False
     """
 
-    __slots__ = ("vertices", "edges", "_index", "_adj")
+    __slots__ = ("vertices", "edges", "masks", "_index", "_adj")
 
     def __init__(self, vertices, edges=()):
         vs = tuple(vertices)
@@ -34,6 +42,7 @@ class SimplicialGraph:
                 raise SchemaError(f"duplicate vertex id: {v!r}")
             index[v] = len(index)
         adj = {v: set() for v in vs}
+        masks = [0] * len(vs)
         norm = set()
         for a, b in edges:
             if a not in index:
@@ -44,11 +53,14 @@ class SimplicialGraph:
                 raise SchemaError(f"self-loop at vertex: {a!r}")
             if index[a] > index[b]:
                 a, b = b, a
+            masks[index[a]] |= 1 << index[b]
+            masks[index[b]] |= 1 << index[a]
             norm.add((a, b))
             adj[a].add(b)
             adj[b].add(a)
         self.vertices = vs
         self.edges = frozenset(norm)
+        self.masks = tuple(masks)
         self._index = index
         self._adj = {v: frozenset(s) for v, s in adj.items()}
 
@@ -69,6 +81,15 @@ class SimplicialGraph:
 
     def has_edge(self, a, b):
         return b in self._adj[a]
+
+    def mask(self, subset) -> int:
+        """The vertex set ``subset`` as a bitmask of positions."""
+        out = 0
+        for v in subset:
+            if v not in self._index:
+                raise SchemaError(f"unknown vertex: {v!r}")
+            out |= 1 << self._index[v]
+        return out
 
     def sorted(self, subset):
         """The members of subset as a tuple in vertex order."""
@@ -226,3 +247,103 @@ def enumerate_cliques(g: SimplicialGraph, max_size: int) -> list:
         extend((), list(g.vertices))
     return groups
 
+
+# Vertex sets as bitmasks.  ``adj`` is a graph's ``masks``; ``vset`` is
+# an int whose set bits are the vertex positions in play.
+
+
+def clique_masks(adj, vset: int) -> list:
+    """All cliques inside vset as bitmasks, grouped by size.
+
+    Entry k lists the size-k cliques; entry 0 is the empty clique, and
+    the list ends with the largest size that occurs.  The DFS is the one
+    ``enumerate_cliques`` runs, so each group comes in the same
+    lexicographic order of vertex positions.
+    """
+    groups = [[0]]
+
+    def extend(clique, cand, size):
+        if size == len(groups):
+            groups.append([])
+        group = groups[size]
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            group.append(clique | bit)
+            below = cand & adj[bit.bit_length() - 1]
+            if below:
+                extend(clique | bit, below, size + 1)
+
+    if vset:
+        extend(0, vset, 1)
+    return groups
+
+
+def clique_number(adj, vset: int) -> int:
+    """Size of the largest clique inside vset, by branch and bound: a
+    branch is cut when its clique plus every candidate left cannot beat
+    the best size found."""
+    best = 0
+
+    def grow(size, cand):
+        nonlocal best
+        while cand:
+            if size + cand.bit_count() <= best:
+                return
+            bit = cand & -cand
+            cand ^= bit
+            grow(size + 1, cand & adj[bit.bit_length() - 1])
+        if size > best:
+            best = size
+
+    grow(0, vset)
+    return best
+
+
+def component_count(adj, vset: int) -> int:
+    """Connected components of the subgraph induced on vset."""
+    count = 0
+    while vset:
+        comp = frontier = vset & -vset
+        while frontier:
+            reach = 0
+            while frontier:
+                bit = frontier & -frontier
+                frontier ^= bit
+                reach |= adj[bit.bit_length() - 1]
+            frontier = reach & vset & ~comp
+            comp |= frontier
+        vset &= ~comp
+        count += 1
+    return count
+
+
+def strong_collapse(adj, vset: int) -> int:
+    """vset with dominated vertices deleted until none is left.
+
+    A vertex v is dominated when its closed neighbourhood inside the set
+    lies in the closed neighbourhood of another vertex u.  Deleting v
+    from a flag complex is then a strong collapse, which keeps the
+    homotopy type (Barmak-Minian, "Strong homotopy types, nerves and
+    collapses", Discrete Comput. Geom. 47, 2012), so every reduced
+    homology group stays the same.  A cone collapses to a point.
+    Vertices are tried in increasing position, against the set as it
+    stands, until a whole pass deletes nothing.
+    """
+    changed = True
+    while changed:
+        changed = False
+        todo = vset
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            closed = adj[bit.bit_length() - 1] & vset | bit
+            others = closed ^ bit
+            while others:
+                other = others & -others
+                others ^= other
+                if not closed & ~(adj[other.bit_length() - 1] | other):
+                    vset ^= bit
+                    changed = True
+                    break
+    return vset

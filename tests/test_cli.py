@@ -298,6 +298,22 @@ def test_wrong_rank_exits_as_internal_defect_under_optimize():
     assert proc.stderr.startswith("error: internal defect")
 
 
+@pytest.mark.parametrize("doc", [
+    {}, [], "", 0, -7, 10 ** 40, -(10 ** 40), True, False, None,
+    {"a": {}, "b": [], "c": [{}, [[]], {"d": [1, [2, {"e": None}]]}]},
+    [[[]], [{}], [{"x": [True, False]}]],
+    {"quote \" and backslash \\": "tab\t newline\n cr\r nul\x00 bell\x07",
+     "caf\u00e9": "\u00fcber \u2603 \U0001f600 \u0800", "": ""},
+    ["\x1f\x7f", "</script>", "'single'", "\\u0041"],
+    {"big": 2 ** 200, "neg": -1, "zero": 0, "bools": [True, False, None]},
+    {"float": 1.5, "inf": float("inf"), "tuple": (1, "a")},
+    {"nested": {"int keys": {1: "a", 2: [3]}, "bool key": {True: 0}}},
+])
+def test_render_json_matches_json_dumps_indent_2(doc):
+    from raagfp.cli import render_json
+    assert render_json(doc) == json.dumps(doc, indent=2)
+
+
 def test_text_format(files, capsys):
     gp, cp = c4_files(files)
     code, out = run(capsys, ["fg", gp, cp, "--format", "text"])

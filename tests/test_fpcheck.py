@@ -217,6 +217,14 @@ def test_routes_agree_exhaustively_small():
             assert fp_via_complex(g, chi, 1) == is_fg(g, chi)
 
 
+def test_analyze_reads_fg_off_the_link_table():
+    # fg is FP_1, h_1 = 0 in the table; is_fg checks connectivity and
+    # dominance of the support subgraph directly
+    for g in corpus.connected_graph_catalog(5):
+        for chi in all_01_characters(g, 2):
+            assert analyze(g, chi).fg == is_fg(g, chi)
+
+
 def assert_link_table_matches_unsplit_complex(g, chi):
     h = character_complex(g, chi).homology()
     level = next((n - 1 for n in sorted(h) if h[n]), math.inf)
