@@ -16,7 +16,6 @@ from .gog import (EulerReport, GraphOfFiniteGroups, check_bounds,
                   euler_characteristic, euler_report, free_rank,
                   is_dihedral_type, is_reduced, parse_gog, reduce)
 from .graph import (SimplicialGraph, enumerate_cliques, graph_document,
-                    induced_subgraph, is_connected, is_dominant, join_factors,
-                    parse_graph)
+                    induced_subgraph, join_factors, parse_graph)
 
 __version__ = "0.1.0"

@@ -15,6 +15,7 @@ byte-identical across runs for fixed inputs and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -166,7 +167,7 @@ def _table_chunk(payload) -> list:
                                     for v in g.vertices})
         level = fpcheck.max_fp(g, chi)
         rows.append({"support": list(support),
-                     "fg": fpcheck.is_fg(g, chi),
+                     "fg": level >= 1,         # fg is FP_1
                      "max_fp": "inf" if level == fpcheck.INFINITE else level})
     return rows
 
@@ -290,8 +291,12 @@ def _default_jobs() -> int:
         raise ValueError(f"RAAGFP_JOBS must be an integer, got {raw!r}") from None
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    default_jobs = _default_jobs()
+    """The argument parser, built on the first call and reused after.
+
+    ``--jobs`` defaults to None; ``main`` fills it in from RAAGFP_JOBS,
+    which it reads on every call."""
     top = argparse.ArgumentParser(
         prog="raagfp",
         description="Finite generation and FP_n for kernels of characters "
@@ -320,7 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, default=2)
     p.add_argument("--cap", type=int, default=16,
                    help="refuse graphs with more vertices than this")
-    p.add_argument("--jobs", type=int, default=default_jobs)
+    p.add_argument("--jobs", type=int, default=None)
     common(p)
     p.set_defaults(run=cmd_table)
 
@@ -336,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--max-vertices", type=int, default=7, dest="max_vertices")
-    p.add_argument("--jobs", type=int, default=default_jobs)
+    p.add_argument("--jobs", type=int, default=None)
     common(p)
     p.set_defaults(run=cmd_verify)
 
@@ -351,7 +356,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
+        default_jobs = _default_jobs()
         args = _build_parser().parse_args(argv)
+        if hasattr(args, "jobs") and args.jobs is None:
+            args.jobs = default_jobs
         return args.run(args)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)

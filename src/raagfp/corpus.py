@@ -10,7 +10,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 
 from .fpcheck import Character
-from .graph import SimplicialGraph
+from .graph import SimplicialGraph, components
 
 
 def _verts(n, prefix="v"):
@@ -69,14 +69,6 @@ def join(g1: SimplicialGraph, g2: SimplicialGraph) -> SimplicialGraph:
     return SimplicialGraph(tuple(g1.vertices) + tuple(g2.vertices), edges)
 
 
-def disjoint_union(g1: SimplicialGraph, g2: SimplicialGraph) -> SimplicialGraph:
-    overlap = set(g1.vertices) & set(g2.vertices)
-    if overlap:
-        raise ValueError(f"vertex names collide: {sorted(overlap)}")
-    return SimplicialGraph(tuple(g1.vertices) + tuple(g2.vertices),
-                           list(g1.edges) + list(g2.edges))
-
-
 def ones_character(g: SimplicialGraph, p: int) -> Character:
     return Character(p, {v: 1 for v in g.vertices})
 
@@ -84,51 +76,6 @@ def ones_character(g: SimplicialGraph, p: int) -> Character:
 def support_character(g: SimplicialGraph, support, p: int) -> Character:
     support = set(support)
     return Character(p, {v: (1 if v in support else 0) for v in g.vertices})
-
-
-def named_corpus() -> dict:
-    """The bundled example graphs by name."""
-    out = {}
-    for n in range(3, 9):
-        out[f"cycle{n}"] = cycle(n)
-    for n in range(2, 7):
-        out[f"path{n}"] = path(n)
-    for n in range(1, 7):
-        out[f"complete{n}"] = complete(n)
-    out["k23"] = complete_bipartite(2, 3)
-    out["k33"] = complete_bipartite(3, 3)
-    out["octahedron"] = octahedron()
-    out["star3"] = star(3)
-    out["star5"] = star(5)
-    out["edgeless2"] = edgeless(2)
-    out["tree7"] = SimplicialGraph(
-        _verts(7), [("v1", "v2"), ("v1", "v3"), ("v2", "v4"), ("v2", "v5"),
-                    ("v3", "v6"), ("v3", "v7")])
-    out["join_p2_e2"] = join(path(2), edgeless_named(2, "w"))
-    out["join_c4_point"] = join(cycle(4), edgeless_named(1, "w"))
-    return out
-
-
-def edgeless_named(n: int, prefix: str) -> SimplicialGraph:
-    return SimplicialGraph([f"{prefix}{i}" for i in range(1, n + 1)], [])
-
-
-def _mask_connected(n, mask, pairs) -> bool:
-    adj = [0] * n
-    for i, (a, b) in enumerate(pairs):
-        if mask >> i & 1:
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-    seen = 1
-    stack = [0]
-    while stack:
-        nxt = adj[stack.pop()] & ~seen
-        while nxt:
-            low = nxt & -nxt
-            seen |= low
-            stack.append(low.bit_length() - 1)
-            nxt &= nxt - 1
-    return seen == (1 << n) - 1
 
 
 @lru_cache(maxsize=None)
@@ -158,9 +105,10 @@ def connected_graph_catalog(max_vertices: int) -> tuple:
                     mm |= 1 << table[low.bit_length() - 1]
                     rest &= rest - 1
                 seen[mm] = 1
-            if _mask_connected(n, mask, pairs):
-                vs = _verts(n)
-                graphs.append(SimplicialGraph(
-                    vs, [(vs[a], vs[b]) for i, (a, b) in enumerate(pairs)
-                         if mask >> i & 1]))
+            vs = _verts(n)
+            g = SimplicialGraph(vs, [(vs[a], vs[b])
+                                     for i, (a, b) in enumerate(pairs)
+                                     if mask >> i & 1])
+            if len(components(g.masks, (1 << n) - 1)) == 1:
+                graphs.append(g)
     return tuple(graphs)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .errors import InternalDefect, SchemaError
 from .fpmatrix import MatrixFp, check_prime, rank_fp
-from .graph import (SimplicialGraph, clique_masks, component_count,
+from .graph import (SimplicialGraph, clique_masks, components,
                     enumerate_cliques, induced_subgraph, strong_collapse)
 
 
@@ -63,8 +63,7 @@ class FlagComplex:
 
 def flag_complex(g: SimplicialGraph) -> FlagComplex:
     """Complex glued from every nonempty clique of g."""
-    groups = enumerate_cliques(g, len(g.vertices))
-    return FlagComplex(groups[1:])
+    return FlagComplex(enumerate_cliques(g)[1:])
 
 
 def link_complex(g: SimplicialGraph, support, s) -> FlagComplex:
@@ -209,8 +208,13 @@ def reduced_homology(k: FlagComplex, p: int) -> dict:
     of connected components of the 1-skeleton.
     """
     h = simplicial_chain_complex(k, p, augmented=True).homology()
-    _check_low_degrees(h, k.vertex_count(),
-                       _components(k) if k.vertex_count() else 0)
+    index = {v: i for i, (v,) in enumerate(k.group(1))}
+    adj = [0] * len(index)
+    for a, b in k.group(2):
+        adj[index[a]] |= 1 << index[b]
+        adj[index[b]] |= 1 << index[a]
+    _check_low_degrees(h, len(index),
+                       len(components(adj, (1 << len(index)) - 1)))
     return h
 
 
@@ -238,7 +242,7 @@ def mask_reduced_homology(adj, vset: int, p: int) -> dict:
     """
     core = strong_collapse(adj, vset)
     h = _mask_chain_complex(adj, core, p).homology()
-    _check_low_degrees(h, vset.bit_count(), component_count(adj, vset))
+    _check_low_degrees(h, vset.bit_count(), len(components(adj, vset)))
     return h
 
 
@@ -270,25 +274,6 @@ def _mask_chain_complex(adj, vset: int, p: int) -> ChainComplexFp:
                                                   columns)
     dims = {k - 1: len(group) for k, group in enumerate(groups)}
     return ChainComplexFp(p, -1, len(groups) - 2, dims, boundaries)
-
-
-def _components(k: FlagComplex) -> int:
-    """Connected components of the 1-skeleton, by union-find."""
-    parent = {v: v for (v,) in k.group(1)}
-
-    def root(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    count = len(parent)
-    for a, b in k.group(2):
-        ra, rb = root(a), root(b)
-        if ra != rb:
-            parent[ra] = rb
-            count -= 1
-    return count
 
 
 def is_k_acyclic(k: FlagComplex, p: int, level: int) -> bool:

@@ -47,8 +47,8 @@ from .errors import EpimorphismError, SchemaError
 from .flag_homology import (ChainComplexFp, is_k_acyclic, link_complex,
                             mask_reduced_homology, reduced_homology)
 from .fpmatrix import MatrixFp, check_prime
-from .graph import SimplicialGraph, clique_number, enumerate_cliques, \
-    induced_subgraph, is_connected, is_dominant
+from .graph import (SimplicialGraph, clique_number, components,
+                    enumerate_cliques, induced_subgraph)
 
 INFINITE = math.inf
 
@@ -137,8 +137,12 @@ def require_epimorphism(g: SimplicialGraph, chi: Character) -> SurjectivityCheck
 
 def connected_and_dominant(g: SimplicialGraph, supp) -> tuple:
     """Whether the subgraph on supp is connected, and whether every
-    vertex outside supp has a neighbor in it."""
-    return is_connected(induced_subgraph(g, supp)), is_dominant(g, supp)
+    vertex outside supp has a neighbor in it.  The empty support counts
+    as not connected."""
+    adj = g.masks
+    vset = g.mask(supp)
+    return (len(components(adj, vset)) == 1,
+            all(adj[i] & vset for i in range(len(adj)) if not vset >> i & 1))
 
 
 def is_fg(g: SimplicialGraph, chi: Character) -> bool:
@@ -164,9 +168,7 @@ def character_complex(g: SimplicialGraph, chi: Character) -> ChainComplexFp:
     """
     chi.require_defined_on(g)
     p = chi.p
-    groups = enumerate_cliques(g, len(g.vertices))
-    while len(groups) > 1 and not groups[-1]:
-        groups.pop()
+    groups = enumerate_cliques(g)
     top = len(groups) - 1
     dims = {-1: 1}
     for n in range(0, top + 1):
@@ -186,8 +188,7 @@ def outside_cliques(g: SimplicialGraph, support) -> list:
     """Cliques of g whose members all avoid ``support``, every size."""
     rest = [v for v in g.vertices if v not in support]
     sub = induced_subgraph(g, rest)
-    groups = enumerate_cliques(sub, len(rest))
-    return [c for group in groups for c in group]
+    return [c for group in enumerate_cliques(sub) for c in group]
 
 
 def link_homology_table(g: SimplicialGraph, support, p: int) -> dict:

@@ -4,13 +4,16 @@ The vertex order is the order of the input array and is normative:
 clique tuples are sorted by it, boundary-matrix signs depend on it, and
 every deterministic output order is derived from it.
 
-Besides its named vertices, each graph keeps one adjacency bitmask per
-vertex position (``SimplicialGraph.masks``): bit j of ``masks[i]`` is
-set iff the vertices in positions i and j are adjacent.  A vertex set
-is then an int, the common neighbours of a clique are the AND of its
-members' masks, and the mask functions at the end of this module
-(clique DFS, clique number, component count, strong collapse) work on
-``(masks, vertex set)`` pairs without building any subgraph.
+A graph's only adjacency is one bitmask per vertex position
+(``SimplicialGraph.masks``): bit j of ``masks[i]`` is set iff the
+vertices in positions i and j are adjacent.  A vertex set is then an
+int (``g.mask`` builds one from names, ``g.members`` turns one back into
+a vertex tuple), the common neighbours of a clique are the AND of its
+members' masks, and every graph query reads the masks.  The mask
+functions at the end of this module (the clique DFS ``clique_masks``,
+``clique_number``, the one connectivity routine ``components``, and
+``strong_collapse``) work on ``(masks, vertex set)`` pairs without
+building any subgraph.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ class SimplicialGraph:
     False
     """
 
-    __slots__ = ("vertices", "edges", "masks", "_index", "_adj")
+    __slots__ = ("vertices", "edges", "masks", "_index")
 
     def __init__(self, vertices, edges=()):
         vs = tuple(vertices)
@@ -41,7 +44,6 @@ class SimplicialGraph:
             if v in index:
                 raise SchemaError(f"duplicate vertex id: {v!r}")
             index[v] = len(index)
-        adj = {v: set() for v in vs}
         masks = [0] * len(vs)
         norm = set()
         for a, b in edges:
@@ -56,13 +58,10 @@ class SimplicialGraph:
             masks[index[a]] |= 1 << index[b]
             masks[index[b]] |= 1 << index[a]
             norm.add((a, b))
-            adj[a].add(b)
-            adj[b].add(a)
         self.vertices = vs
         self.edges = frozenset(norm)
         self.masks = tuple(masks)
         self._index = index
-        self._adj = {v: frozenset(s) for v, s in adj.items()}
 
     def __len__(self):
         return len(self.vertices)
@@ -74,13 +73,13 @@ class SimplicialGraph:
         """Position of v in the fixed vertex order."""
         return self._index[v]
 
-    def neighbors(self, v):
+    def neighbors(self, v) -> frozenset:
         if v not in self._index:
             raise SchemaError(f"unknown vertex: {v!r}")
-        return self._adj[v]
+        return frozenset(self.members(self.masks[self._index[v]]))
 
-    def has_edge(self, a, b):
-        return b in self._adj[a]
+    def has_edge(self, a, b) -> bool:
+        return self.masks[self._index[a]] >> self._index[b] & 1 == 1
 
     def mask(self, subset) -> int:
         """The vertex set ``subset`` as a bitmask of positions."""
@@ -91,17 +90,27 @@ class SimplicialGraph:
             out |= 1 << self._index[v]
         return out
 
+    def members(self, vset: int) -> tuple:
+        """The vertices whose positions are set in vset, in vertex order."""
+        out = []
+        while vset:
+            bit = vset & -vset
+            vset ^= bit
+            out.append(self.vertices[bit.bit_length() - 1])
+        return tuple(out)
+
     def sorted(self, subset):
         """The members of subset as a tuple in vertex order."""
         return tuple(sorted(subset, key=self._index.__getitem__))
 
-    def is_clique(self, members):
+    def is_clique(self, members) -> bool:
+        """True iff members are distinct and pairwise adjacent."""
         ms = list(members)
-        for i, a in enumerate(ms):
-            for b in ms[i + 1:]:
-                if a == b or not self.has_edge(a, b):
-                    return False
-        return True
+        vset = self.mask(ms)
+        if vset.bit_count() != len(ms):
+            return False
+        return all(vset & ~self.masks[self._index[v]] == 1 << self._index[v]
+                   for v in ms)
 
     def __eq__(self, other):
         return (isinstance(other, SimplicialGraph)
@@ -150,41 +159,14 @@ def graph_document(g: SimplicialGraph) -> dict:
 
 def induced_subgraph(g: SimplicialGraph, keep) -> SimplicialGraph:
     """Subgraph spanned by ``keep``, vertex order inherited from g."""
-    keep = set(keep)
-    for v in keep:
-        if v not in g:
-            raise SchemaError(f"unknown vertex: {v!r}")
-    vs = [v for v in g.vertices if v in keep]
-    es = [e for e in g.edges if e[0] in keep and e[1] in keep]
+    vset = g.mask(keep)
+    vs = g.members(vset)
+    es = []
+    for v in vs:
+        i = g.index(v)
+        later = g.masks[i] & vset & ~((2 << i) - 1)    # positions above i
+        es.extend((v, w) for w in g.members(later))
     return SimplicialGraph(vs, es)
-
-
-def is_connected(g: SimplicialGraph) -> bool:
-    """True iff g is nonempty and has one component.
-
-    The empty graph counts as not connected: the finite-generation test
-    is_fg = is_connected and is_dominant then needs no separate
-    emptiness check.
-    """
-    if not g.vertices:
-        return False
-    seen = {g.vertices[0]}
-    stack = [g.vertices[0]]
-    while stack:
-        for w in g.neighbors(stack.pop()):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(g.vertices)
-
-
-def is_dominant(g: SimplicialGraph, sub) -> bool:
-    """True iff every vertex outside ``sub`` has a neighbor inside it."""
-    sub = set(sub)
-    for v in sub:
-        if v not in g:
-            raise SchemaError(f"unknown vertex: {v!r}")
-    return all(g.neighbors(v) & sub for v in g.vertices if v not in sub)
 
 
 def join_factors(g: SimplicialGraph) -> list:
@@ -201,51 +183,27 @@ def join_factors(g: SimplicialGraph) -> list:
     """
     if not g.vertices:
         raise ValueError("empty graph has no join decomposition")
-    unseen = set(g.vertices)
-    factors = []
-    for v in g.vertices:
-        if v not in unseen:
-            continue
-        unseen.discard(v)
-        comp = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            # complement neighbors: unseen vertices not adjacent to u
-            new = unseen - g.neighbors(u)
-            comp |= new
-            unseen -= new
-            stack.extend(new)
-        factors.append(g.sorted(comp))
-    return factors
+    full = (1 << len(g)) - 1
+    complement = [full & ~(m | 1 << i) for i, m in enumerate(g.masks)]
+    return [g.members(c) for c in components(complement, full)]
 
 
-def enumerate_cliques(g: SimplicialGraph, max_size: int) -> list:
-    """All cliques of size <= max_size, grouped by size.
+def enumerate_cliques(g: SimplicialGraph) -> list:
+    """All cliques of g as vertex tuples, grouped by size.
 
-    Returns a list indexed by size; entry k lists the size-k cliques as
-    tuples sorted by vertex order, each group in lexicographic order of
-    vertex positions.  The empty clique is included at size 0.
+    Returns a list indexed by size, ending with the largest size that
+    occurs; entry k lists the size-k cliques as tuples sorted by vertex
+    order, each group in lexicographic order of vertex positions.  The
+    empty clique is included at size 0.  This is ``clique_masks`` on the
+    whole vertex set, decoded by ``g.members``.
 
     >>> k3 = SimplicialGraph("abc", [("a","b"),("a","c"),("b","c")])
-    >>> [len(group) for group in enumerate_cliques(k3, 3)]
+    >>> [len(group) for group in enumerate_cliques(k3)]
     [1, 3, 3, 1]
     """
-    if max_size < 0:
-        raise ValueError("max_size must be >= 0")
-    groups = [[] for _ in range(max_size + 1)]
-    groups[0].append(())
-
-    def extend(clique, cand):
-        for i, v in enumerate(cand):
-            cur = clique + (v,)
-            groups[len(cur)].append(cur)
-            if len(cur) < max_size:
-                extend(cur, [w for w in cand[i + 1:] if g.has_edge(v, w)])
-
-    if max_size >= 1:
-        extend((), list(g.vertices))
-    return groups
+    members = g.members
+    return [[members(c) for c in group]
+            for group in clique_masks(g.masks, (1 << len(g)) - 1)]
 
 
 # Vertex sets as bitmasks.  ``adj`` is a graph's ``masks``; ``vset`` is
@@ -256,9 +214,8 @@ def clique_masks(adj, vset: int) -> list:
     """All cliques inside vset as bitmasks, grouped by size.
 
     Entry k lists the size-k cliques; entry 0 is the empty clique, and
-    the list ends with the largest size that occurs.  The DFS is the one
-    ``enumerate_cliques`` runs, so each group comes in the same
-    lexicographic order of vertex positions.
+    the list ends with the largest size that occurs.  Each group comes
+    in lexicographic order of vertex positions.
     """
     groups = [[0]]
 
@@ -300,9 +257,10 @@ def clique_number(adj, vset: int) -> int:
     return best
 
 
-def component_count(adj, vset: int) -> int:
-    """Connected components of the subgraph induced on vset."""
-    count = 0
+def components(adj, vset: int) -> list:
+    """Connected components of the subgraph induced on vset, as masks
+    ordered by their lowest position; [] when vset is 0."""
+    out = []
     while vset:
         comp = frontier = vset & -vset
         while frontier:
@@ -314,8 +272,8 @@ def component_count(adj, vset: int) -> int:
             frontier = reach & vset & ~comp
             comp |= frontier
         vset &= ~comp
-        count += 1
-    return count
+        out.append(comp)
+    return out
 
 
 def strong_collapse(adj, vset: int) -> int:

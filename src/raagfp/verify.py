@@ -76,12 +76,6 @@ def shrink(g: SimplicialGraph, chi: Character, still_fails) -> tuple:
     return g, chi
 
 
-def chain_condition_witness(cx) -> int | None:
-    """Degree where d . d fails to vanish, or None.  Exposed so tests
-    can feed deliberately corrupted complexes through the same check."""
-    return cx.dd_violation()
-
-
 def suite_chain_condition(seed, trials, max_vertices) -> SuiteResult:
     rng = random.Random(f"dd:{seed}")
     failures = []
@@ -91,16 +85,15 @@ def suite_chain_condition(seed, trials, max_vertices) -> SuiteResult:
         chi = random_character(rng, g, p, nonzero=False)
         bad = []
         cx = fpcheck.character_complex(g, chi)
-        if chain_condition_witness(cx) is not None:
+        if cx.dd_violation() is not None:
             bad.append("support complex")
         supp = chi.support(g)
         for s in fpcheck.outside_cliques(g, supp):
             link = link_complex(g, supp, s)
-            if chain_condition_witness(
-                    simplicial_chain_complex(link, p)) is not None:
+            if simplicial_chain_complex(link, p).dd_violation() is not None:
                 bad.append(f"link of {s!r}")
-        if chain_condition_witness(
-                simplicial_chain_complex(flag_complex(g), p)) is not None:
+        flag = simplicial_chain_complex(flag_complex(g), p)
+        if flag.dd_violation() is not None:
             bad.append("flag complex")
         if bad:
             failures.append({**_instance_doc(g, chi), "broken": bad})

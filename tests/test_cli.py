@@ -197,17 +197,16 @@ def test_verify_negative_control():
     # a deliberately corrupted boundary must be caught by the same check
     # the verify suites run
     from raagfp.flag_homology import ChainComplexFp
-    from raagfp.verify import chain_condition_witness
     good = ChainComplexFp(
         2, 0, 2, {0: 1, 1: 2, 2: 1},
         {1: from_rows([[1, 1]], 2),
          2: from_rows([[1], [1]], 2)})
-    assert chain_condition_witness(good) is None
+    assert good.dd_violation() is None
     corrupted = ChainComplexFp(
         2, 0, 2, {0: 1, 1: 2, 2: 1},
         {1: from_rows([[1, 1]], 2),
          2: from_rows([[1], [0]], 2)})
-    assert chain_condition_witness(corrupted) == 1
+    assert corrupted.dd_violation() == 1
 
 
 def test_gog_command(files, capsys):

@@ -3,11 +3,13 @@ from itertools import combinations
 
 import pytest
 
+from graphref import is_connected, is_dominant
 from raagfp import corpus
 from raagfp.errors import SchemaError
-from raagfp.graph import (SimplicialGraph, enumerate_cliques, graph_document,
-                          induced_subgraph, is_connected, is_dominant,
-                          join_factors, parse_graph)
+from raagfp.fpcheck import connected_and_dominant
+from raagfp.graph import (SimplicialGraph, components, enumerate_cliques,
+                          graph_document, induced_subgraph, join_factors,
+                          parse_graph)
 
 
 def c4():
@@ -87,18 +89,61 @@ def test_induced_monotone():
 
 # connectivity and dominance
 
-def test_is_connected():
-    assert is_connected(c4())
-    assert not is_connected(corpus.edgeless(2))
-    assert not is_connected(SimplicialGraph([], []))
+def test_components_examples():
+    assert components(c4().masks, 0b1111) == [0b1111]
+    assert components(corpus.edgeless(2).masks, 0b11) == [0b01, 0b10]
+    assert components((), 0) == []
+    # P_3 without its middle vertex falls apart
+    assert components(p3().masks, 0b101) == [0b001, 0b100]
 
 
-def test_is_dominant():
-    assert is_dominant(p3(), {"v2"})
-    assert not is_dominant(p3(), {"v1"})
-    assert is_dominant(c4(), c4().vertices)
+def test_connected_and_dominant_examples():
+    assert connected_and_dominant(p3(), {"v2"}) == (True, True)
+    assert connected_and_dominant(p3(), {"v1"}) == (True, False)
+    assert connected_and_dominant(p3(), {"v1", "v3"}) == (False, True)
+    assert connected_and_dominant(c4(), c4().vertices) == (True, True)
     with pytest.raises(SchemaError):
-        is_dominant(p3(), {"zz"})
+        connected_and_dominant(p3(), {"zz"})
+
+
+def test_components_against_set_bfs():
+    rng = random.Random("components")
+    split = 0
+    for _ in range(200):
+        n = rng.randint(0, 10)
+        vs = [f"v{i}" for i in range(n)]
+        d = rng.uniform(0.05, 0.7)
+        g = SimplicialGraph(vs, [e for e in combinations(vs, 2)
+                                 if rng.random() < d])
+        keep = [v for v in vs if rng.random() < 0.7]
+        vset = g.mask(keep)
+        comps = components(g.masks, vset)
+        lowest = [c & -c for c in comps]
+        assert lowest == sorted(lowest)
+        union = 0
+        for c in comps:                            # a partition of vset
+            assert c and not c & union
+            union |= c
+        assert union == vset
+        named = [g.members(c) for c in comps]
+        for part in named:                         # each one connected
+            assert is_connected(induced_subgraph(g, part))
+        for x, y in combinations(named, 2):        # no edge between two
+            assert not any(g.has_edge(a, b) for a in x for b in y)
+        assert (len(comps) == 1) == is_connected(induced_subgraph(g, keep))
+        split += len(comps) > 1
+    assert split > 20
+
+
+def test_connected_and_dominant_against_set_reference():
+    checked = 0
+    for g in corpus.connected_graph_catalog(5):
+        for bits in range(1 << len(g)):
+            supp = [v for i, v in enumerate(g.vertices) if bits >> i & 1]
+            assert connected_and_dominant(g, supp) == \
+                (is_connected(induced_subgraph(g, supp)), is_dominant(g, supp))
+            checked += 1
+    assert checked > 500
 
 
 # join decomposition
@@ -145,12 +190,13 @@ def brute_cliques(g, max_size):
 
 
 def test_enumerate_cliques_examples():
-    groups = enumerate_cliques(c4(), 4)
-    assert [len(x) for x in groups] == [1, 4, 4, 0, 0]
-    groups = enumerate_cliques(corpus.complete(3), 3)
+    groups = enumerate_cliques(c4())
+    assert [len(x) for x in groups] == [1, 4, 4]
+    groups = enumerate_cliques(corpus.complete(3))
     assert [len(x) for x in groups] == [1, 3, 3, 1]
-    groups = enumerate_cliques(corpus.edgeless(2), 2)
-    assert groups[0] == [()] and len(groups[1]) == 2 and not groups[2]
+    groups = enumerate_cliques(corpus.edgeless(2))
+    assert groups[0] == [()] and len(groups[1]) == 2 and len(groups) == 2
+    assert enumerate_cliques(SimplicialGraph([], [])) == [[()]]
 
 
 def test_enumerate_cliques_against_bruteforce():
@@ -160,15 +206,16 @@ def test_enumerate_cliques_against_bruteforce():
         vs = [f"v{i}" for i in range(n)]
         edges = [e for e in combinations(vs, 2) if rng.random() < 0.6]
         g = SimplicialGraph(vs, edges)
-        assert enumerate_cliques(g, n) == brute_cliques(g, n)
+        expected = brute_cliques(g, n)
+        while len(expected) > 1 and not expected[-1]:
+            expected.pop()
+        assert enumerate_cliques(g) == expected
 
 
-def test_enumerate_cliques_order_and_cap():
+def test_enumerate_cliques_order():
     g = corpus.complete(4)
-    groups = enumerate_cliques(g, 2)
-    assert len(groups) == 3
+    groups = enumerate_cliques(g)
+    assert len(groups) == 5
     assert groups[2] == sorted(groups[2], key=lambda c: (g.index(c[0]),
                                                          g.index(c[1])))
-    with pytest.raises(ValueError):
-        enumerate_cliques(g, -1)
 

@@ -11,14 +11,15 @@ from itertools import combinations
 
 import pytest
 
+from graphref import is_connected
 from raagfp import corpus
 from raagfp.flag_homology import link_complex, reduced_homology
 from raagfp.fpcheck import (Character, analyze, character_complex,
                             homology_from_links, link_homology_table, max_fp,
                             outside_cliques)
 from raagfp.graph import (SimplicialGraph, clique_masks, clique_number,
-                          component_count, enumerate_cliques, induced_subgraph,
-                          is_connected, strong_collapse)
+                          components, enumerate_cliques, induced_subgraph,
+                          strong_collapse)
 
 
 def random_graph(rng, n, density):
@@ -100,19 +101,15 @@ def test_mask_dfs_lists_cliques_in_enumerate_order():
         g = with_extras(rng, random_graph(rng, rng.randint(0, 8),
                                           rng.uniform(0.2, 0.9)))
         full = (1 << len(g)) - 1
-        groups = enumerate_cliques(g, len(g))
-        while len(groups) > 1 and not groups[-1]:
-            groups.pop()
         named = [[tuple(v for v in g.vertices if c >> g.index(v) & 1)
                   for c in group] for group in clique_masks(g.masks, full)]
-        assert named == groups
+        assert named == enumerate_cliques(g)
         # a vertex subset: the DFS of the induced subgraph
         keep = [v for v in g.vertices if rng.random() < 0.6]
         sub = clique_masks(g.masks, g.mask(keep))
         assert [[tuple(v for v in g.vertices if c >> g.index(v) & 1)
                  for c in group] for group in sub] == \
-            [grp for grp in enumerate_cliques(induced_subgraph(g, keep),
-                                              len(keep)) if grp]
+            enumerate_cliques(induced_subgraph(g, keep))
 
 
 def test_strong_collapse_leaves_no_dominated_vertex():
@@ -125,8 +122,8 @@ def test_strong_collapse_leaves_no_dominated_vertex():
         assert core & ~vset == 0
         assert (core == 0) == (vset == 0)
         assert not dominated(g, core)
-        assert component_count(g.masks, core) == \
-            component_count(g.masks, vset)
+        assert len(components(g.masks, core)) == \
+            len(components(g.masks, vset))
 
 
 def test_cones_collapse_to_a_point():
@@ -138,13 +135,13 @@ def test_cones_collapse_to_a_point():
         assert core.bit_count() == 1
 
 
-def test_component_count_against_named_graphs():
+def test_components_against_named_graphs():
     rng = random.Random("components")
     for _ in range(40):
         g = random_graph(rng, rng.randint(0, 8), rng.uniform(0.1, 0.6))
         keep = [v for v in g.vertices if rng.random() < 0.7]
         sub = induced_subgraph(g, keep)
-        count = component_count(g.masks, g.mask(keep))
+        count = len(components(g.masks, g.mask(keep)))
         assert (count == 1) == is_connected(sub)
         if keep:
             assert count == reduced_homology(link_complex(g, keep, ()), 2)[0] + 1
@@ -154,8 +151,7 @@ def test_component_count_against_named_graphs():
 
 def test_top_degree_is_the_clique_number():
     for g, supp in seeded_cases("top"):
-        groups = enumerate_cliques(g, len(g))
-        omega = max(k for k, group in enumerate(groups) if group)
+        omega = len(enumerate_cliques(g)) - 1
         assert clique_number(g.masks, (1 << len(g)) - 1) == omega
         chi = Character(3, {v: int(v in supp) for v in g.vertices})
         assert character_complex(g, chi).hi == omega
