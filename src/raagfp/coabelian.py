@@ -6,7 +6,8 @@ that map have supports determined by their zero pattern: the vertex
 sets Z realizable as {v : lambda . column(v) = 0} for a nonzero rational
 direction lambda are exactly the span-closed proper subsets of the
 columns.  Finite generation and FP_n of the kernel aggregate over those
-patterns.
+patterns.  One integer nullspace per column subset gives the subset's
+closure (the columns orthogonal to it) and the certificate's basis.
 
 All arithmetic is exact and integer-only: fraction-free elimination
 and back substitution over Python's arbitrary-precision integers, no
@@ -18,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
+from operator import mul
 
 from . import fpcheck
 from .errors import FiniteQuotientError, InternalDefect, SchemaError
@@ -112,24 +114,14 @@ def _int_echelon(rows):
     return rows[:rank], rank
 
 
-def _in_row_span(echelon, vec) -> bool:
-    """Exact membership of vec in the row span of an echelon basis."""
-    vec = list(vec)
-    for row in echelon:
-        c = next(j for j, x in enumerate(row) if x)
-        if vec[c]:
-            pv, vc = row[c], vec[c]
-            vec = [x * pv - y * vc for x, y in zip(vec, row)]
-    return not any(vec)
-
-
 def _nullspace_int(rows, width):
     """Integer vectors spanning {x : rows . x = 0} in dimension width.
 
     One vector per free column f: the unique primitive integer vector
-    with x[f] > 0 and zeros at the other free columns.  Back
-    substitution scales the partial vector by each pivot so that the
-    solved entry stays integral; the gcd and sign are fixed at the end.
+    with x[f] > 0 and zeros at the other free columns, so the basis
+    depends only on the row span.  Back substitution scales the partial
+    vector by each pivot so that the solved entry stays integral; the
+    gcd and sign are fixed at the end.
     """
     ech, rank = _int_echelon(rows)
     pivots = [next(j for j, x in enumerate(row) if x) for row in ech]
@@ -157,6 +149,14 @@ def matrix_rank(m: CoabelianSpec) -> int:
     return _int_echelon([list(r) for r in m.rows])[1]
 
 
+def _closure(cols, subset, k):
+    """The nullspace basis of the columns in subset, and the positions of
+    the columns orthogonal to all of it: the subset's span closure."""
+    basis = _nullspace_int([cols[j] for j in subset], k)
+    return basis, frozenset(j for j, col in enumerate(cols)
+                            if not any(_dot(b, col) for b in basis))
+
+
 def span_closure(m: CoabelianSpec, z) -> frozenset:
     """Vertices whose column lies in the rational span of the columns
     of z.  Idempotent, extensive and monotone (a matroid closure)."""
@@ -164,8 +164,9 @@ def span_closure(m: CoabelianSpec, z) -> frozenset:
     for v in z:
         if v not in m.vertices:
             raise SchemaError(f"unknown vertex: {v!r}")
-    ech, _ = _int_echelon([list(m.column(v)) for v in z])
-    return frozenset(v for v in m.vertices if _in_row_span(ech, m.column(v)))
+    cols = [m.column(v) for v in m.vertices]
+    _, closed = _closure(cols, [m.vertices.index(v) for v in z], m.k)
+    return frozenset(m.vertices[j] for j in closed)
 
 
 def enumerate_patterns(m: CoabelianSpec) -> list:
@@ -177,7 +178,9 @@ def enumerate_patterns(m: CoabelianSpec) -> list:
     of the subsets of those sizes cover them all.  A subset of size equal
     to the rank adds nothing: independent, it spans every column and its
     closure is not proper; dependent, its closure is that of a smaller
-    independent subset.  Output is sorted by size then vertex order.
+    independent subset.  One nullspace per subset gives its closure and
+    the basis of that pattern's certificate, the same for every subset
+    with that closure.  Output is sorted by size then vertex order.
     """
     rank = matrix_rank(m)
     if rank == 0:
@@ -185,29 +188,24 @@ def enumerate_patterns(m: CoabelianSpec) -> list:
             "matrix has rank 0: the quotient is finite, no rank-one quotients")
     n = len(m.vertices)
     cols = [m.column(v) for v in m.vertices]
-    seen = set()
+    flats = {}
     for size in range(0, rank):
         for subset in combinations(range(n), size):
-            ech, _ = _int_echelon([list(cols[j]) for j in subset])
-            closed = frozenset(j for j in range(n) if _in_row_span(ech, cols[j]))
-            if len(closed) < n:
-                seen.add(closed)
-    ordered = sorted(seen, key=lambda s: (len(s), sorted(s)))
-    return [_certify(m, cols, zs) for zs in ordered]
+            basis, closed = _closure(cols, subset, m.k)
+            if len(closed) < n and closed not in flats:
+                flats[closed] = basis
+    ordered = sorted(flats, key=lambda s: (len(s), sorted(s)))
+    return [_certify(m, cols, zs, flats[zs]) for zs in ordered]
 
 
-def _certify(m: CoabelianSpec, cols, zero_idx) -> ZeroPattern:
-    """Find an integer direction vanishing exactly on the given columns."""
-    k = m.k
-    inside = [list(cols[j]) for j in sorted(zero_idx)]
+def _certify(m: CoabelianSpec, cols, zero_idx, basis) -> ZeroPattern:
+    """Combine the zero columns' nullspace basis into a certificate."""
     outside = [cols[j] for j in range(len(cols)) if j not in zero_idx]
-    basis = _nullspace_int(inside, k) if inside else \
-        [tuple(1 if i == j else 0 for j in range(k)) for i in range(k)]
     # A generic integer combination avoids the finitely many hyperplanes
     # orthogonal to the outside columns; powers of t suffice for some t.
     for t in range(1, 10000):
         lam = tuple(sum(t ** i * b[j] for i, b in enumerate(basis))
-                    for j in range(k))
+                    for j in range(m.k))
         if all(_dot(lam, col) for col in outside):
             pattern = ZeroPattern(
                 tuple(m.vertices[j] for j in sorted(zero_idx)), lam)
@@ -217,7 +215,7 @@ def _certify(m: CoabelianSpec, cols, zero_idx) -> ZeroPattern:
 
 
 def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _verify_certificate(m: CoabelianSpec, cols, pattern: ZeroPattern):
@@ -254,7 +252,7 @@ def fg_coabelian(g: SimplicialGraph, m: CoabelianSpec) -> FgReport:
     verdicts = []
     witness = None
     for pattern in enumerate_patterns(m):
-        supp = [v for v in g.vertices if v not in set(pattern.zero_set)]
+        supp = set(g.vertices).difference(pattern.zero_set)
         verdict = PatternVerdict(pattern,
                                  *fpcheck.connected_and_dominant(g, supp))
         verdicts.append(verdict)

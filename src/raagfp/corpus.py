@@ -45,12 +45,6 @@ def complete_bipartite(a: int, b: int) -> SimplicialGraph:
     return SimplicialGraph(left + right, [(x, y) for x in left for y in right])
 
 
-def star(leaves: int) -> SimplicialGraph:
-    """A hub adjacent to every leaf."""
-    vs = ["hub"] + [f"leaf{i}" for i in range(1, leaves + 1)]
-    return SimplicialGraph(vs, [("hub", v) for v in vs[1:]])
-
-
 def octahedron() -> SimplicialGraph:
     """Complement of three disjoint edges; its flag complex is a 2-sphere."""
     vs = ["a1", "a2", "b1", "b2", "c1", "c2"]

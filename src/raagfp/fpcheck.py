@@ -47,8 +47,8 @@ from .errors import EpimorphismError, SchemaError
 from .flag_homology import (ChainComplexFp, is_k_acyclic, link_complex,
                             mask_reduced_homology, reduced_homology)
 from .fpmatrix import MatrixFp, check_prime
-from .graph import (SimplicialGraph, clique_number, components,
-                    enumerate_cliques, induced_subgraph)
+from .graph import (SimplicialGraph, components, enumerate_cliques,
+                    induced_subgraph)
 
 INFINITE = math.inf
 
@@ -219,7 +219,7 @@ def homology_from_links(g: SimplicialGraph, links: dict) -> dict:
     with a largest clique of the link of S, so no block has chains
     above that degree; the collapsed links in the table may stop lower.
     """
-    top = clique_number(g.masks, (1 << len(g)) - 1)
+    top = g._clique_number()
     return {n: sum(dims.get(n - 1 - len(s), 0) for s, dims in links.items())
             for n in range(1, top + 1)}
 

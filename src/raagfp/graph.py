@@ -35,7 +35,7 @@ class SimplicialGraph:
     False
     """
 
-    __slots__ = ("vertices", "edges", "masks", "_index")
+    __slots__ = ("vertices", "edges", "masks", "_index", "_omega")
 
     def __init__(self, vertices, edges=()):
         vs = tuple(vertices)
@@ -62,6 +62,7 @@ class SimplicialGraph:
         self.edges = frozenset(norm)
         self.masks = tuple(masks)
         self._index = index
+        self._omega = None
 
     def __len__(self):
         return len(self.vertices)
@@ -111,6 +112,12 @@ class SimplicialGraph:
             return False
         return all(vset & ~self.masks[self._index[v]] == 1 << self._index[v]
                    for v in ms)
+
+    def _clique_number(self) -> int:
+        """Size of the largest clique, computed once: the graph is fixed."""
+        if self._omega is None:
+            self._omega = clique_number(self.masks, (1 << len(self)) - 1)
+        return self._omega
 
     def __eq__(self, other):
         return (isinstance(other, SimplicialGraph)

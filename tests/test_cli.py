@@ -280,6 +280,18 @@ def test_too_low_rank_exits_as_internal_defect(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: internal defect")
 
 
+def test_wrong_certificate_exits_as_internal_defect(monkeypatch, capsys):
+    # the certificate of every zero pattern is checked against each column
+    from raagfp import coabelian
+    real = coabelian.ZeroPattern
+    monkeypatch.setattr(coabelian, "ZeroPattern", lambda zero_set, lam:
+                        real(zero_set, (lam[0] + 1,) + lam[1:]))
+    argv = ["coabelian", str(CORPUS / "complete3.graph.json"),
+            str(CORPUS / "complete3.identity.matrix.json")]
+    assert main(argv) == 4
+    assert capsys.readouterr().err.startswith("error: internal defect")
+
+
 def test_wrong_rank_exits_as_internal_defect_under_optimize():
     # python -O strips assert statements; the self-checks must survive
     script = ("import sys\n"

@@ -6,8 +6,8 @@ from math import gcd
 import pytest
 
 from raagfp import corpus, fpcheck
-from raagfp.coabelian import (CoabelianSpec, ZeroPattern, _in_row_span,
-                              _int_echelon, _nullspace_int, enumerate_patterns,
+from raagfp.coabelian import (CoabelianSpec, ZeroPattern, _int_echelon,
+                              _nullspace_int, enumerate_patterns,
                               fg_coabelian, fpn_coabelian, is_full,
                               matrix_rank, parse_matrix, span_closure)
 from raagfp.errors import FiniteQuotientError, SchemaError
@@ -24,15 +24,29 @@ def random_spec(rng, n, k, bound=3):
     return CoabelianSpec(2, rows, vertices)
 
 
+def dependent_spec(rng, n, k):
+    """A random spec whose columns often repeat up to a factor or vanish."""
+    m = random_spec(rng, n, k, bound=rng.choice((1, 2, 3)))
+    if n >= 2 and rng.random() < 0.4:
+        rows = [list(r) for r in m.rows]
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        for r in rows:
+            r[i] = r[j] * c
+            if rng.random() < 0.3:
+                r[rng.randrange(n)] = 0
+        m = CoabelianSpec(2, tuple(map(tuple, rows)), m.vertices)
+    return m
+
+
 # exact elimination against a rational oracle
 
-def frac_rank(rows):
+def frac_rref(rows):
+    """Reduced row echelon form over the rationals: (rows, pivot columns)."""
     rows = [[Fraction(x) for x in r] for r in rows]
-    if not rows:
-        return 0
-    nc = len(rows[0])
-    rank = 0
-    for c in range(nc):
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        rank = len(pivots)
         piv = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
         if piv is None:
             continue
@@ -43,8 +57,12 @@ def frac_rank(rows):
             if r != rank and rows[r][c]:
                 f = rows[r][c]
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+        pivots.append(c)
+    return rows[:len(pivots)], pivots
+
+
+def frac_rank(rows):
+    return len(frac_rref(rows)[1])
 
 
 def test_integer_elimination_against_rational_oracle():
@@ -59,10 +77,6 @@ def test_integer_elimination_against_rational_oracle():
                 rows[i] = [a * rng.randint(-2, 2) for a in rows[j]]
         ech, rank = _int_echelon(rows)
         assert rank == frac_rank(rows)
-        for r in rows:
-            assert _in_row_span(ech, r)
-        v = [rng.randint(-6, 6) for _ in range(nc)]
-        assert _in_row_span(ech, v) == (frac_rank(rows + [v]) == rank)
         basis = _nullspace_int(rows, nc)
         assert len(basis) == nc - rank
         assert all(sum(x * y for x, y in zip(r, b)) == 0
@@ -131,6 +145,35 @@ def test_span_closure_examples():
         span_closure(line, {"zz"})
 
 
+def test_span_closure_against_rational_rank():
+    # v lies in the closure of z iff adding its column keeps the rank
+    rng = random.Random("closure-rank")
+    for _ in range(150):
+        m = dependent_spec(rng, rng.randint(1, 7), rng.randint(1, 4))
+        z = {v for v in m.vertices if rng.random() < 0.4}
+        inside = [m.column(v) for v in z]
+        rank = frac_rank(inside)
+        closed = span_closure(m, z)
+        for v in m.vertices:
+            assert (v in closed) == (frac_rank(inside + [m.column(v)]) == rank)
+
+
+def test_nullspace_depends_only_on_the_span():
+    # a pattern's certificate is built from the basis of the first subset
+    # reaching its closure, so the bytes rely on this
+    rng = random.Random("canonical-basis")
+    compared = 0
+    for _ in range(300):
+        m = dependent_spec(rng, rng.randint(1, 7), rng.randint(1, 4))
+        z = rng.sample(m.vertices, rng.randint(0, len(m.vertices)))
+        closed = span_closure(m, z)
+        flat = [m.column(v) for v in m.vertices if v in closed]
+        assert _nullspace_int([m.column(v) for v in z], m.k) == \
+            _nullspace_int(flat, m.k)
+        compared += len(closed) > len(z)
+    assert compared > 50
+
+
 def test_span_closure_matroid_laws():
     rng = random.Random("closure")
     for _ in range(30):
@@ -160,25 +203,50 @@ def test_enumerate_patterns_examples():
     assert [p.zero_set for p in pats] == [("v2",)]  # k=1: the zero columns
 
 
+def rref_nullspace(rref, pivots, width):
+    """The primitive integer nullspace vector with x[f] > 0 and zeros at
+    the other free columns, per free column f, read off a rational RREF."""
+    basis = []
+    for f in (j for j in range(width) if j not in pivots):
+        x = [Fraction(0)] * width
+        x[f] = Fraction(1)
+        for row, c in zip(rref, pivots):
+            x[c] = -row[f]
+        scale = 1
+        for q in x:
+            scale = scale * q.denominator // gcd(scale, q.denominator)
+        ints = [int(q * scale) for q in x]
+        g = 0
+        for a in ints:
+            g = gcd(g, a)
+        basis.append(tuple(a // g for a in ints))
+    return basis
+
+
 def reference_patterns(m):
     """Closures of every column subset of size up to the rank, certified
     by a search over rational nullspace combinations: the reference for
-    enumerate_patterns, which stops one size below the rank."""
-    rank = matrix_rank(m)
+    enumerate_patterns, which stops one size below the rank.  Rational
+    RREF only, sharing no code with the integer nullspace route."""
     n = len(m.vertices)
     cols = [m.column(v) for v in m.vertices]
     seen = set()
-    for size in range(0, rank + 1):
+    for size in range(0, frac_rank(m.rows) + 1):
         for subset in combinations(range(n), size):
-            ech, _ = _int_echelon([list(cols[j]) for j in subset])
-            closed = frozenset(j for j in range(n) if _in_row_span(ech, cols[j]))
+            rref, pivots = frac_rref([cols[j] for j in subset])
+            closed = set()
+            for j, col in enumerate(cols):
+                rest = [Fraction(x) for x in col]
+                for row, c in zip(rref, pivots):
+                    f = rest[c]
+                    rest = [a - f * b for a, b in zip(rest, row)]
+                if not any(rest):
+                    closed.add(j)
             if len(closed) < n:
-                seen.add(closed)
+                seen.add(frozenset(closed))
     out = []
     for zs in sorted(seen, key=lambda s: (len(s), sorted(s))):
-        inside = [list(cols[j]) for j in sorted(zs)]
-        basis = nullspace_fraction(inside, m.k) if inside else \
-            [tuple(1 if i == j else 0 for j in range(m.k)) for i in range(m.k)]
+        basis = rref_nullspace(*frac_rref([cols[j] for j in sorted(zs)]), m.k)
         for t in range(1, 10000):
             lam = tuple(sum(t ** i * b[j] for i, b in enumerate(basis))
                         for j in range(m.k))
@@ -193,17 +261,7 @@ def test_enumerate_patterns_against_subsets_up_to_the_rank():
     rng = random.Random("below-rank")
     compared = 0
     for _ in range(120):
-        n, k = rng.randint(1, 8), rng.randint(1, 4)
-        m = random_spec(rng, n, k, bound=rng.choice((1, 2, 3)))
-        if n >= 2 and rng.random() < 0.4:       # repeated and zero columns
-            rows = [list(r) for r in m.rows]
-            i, j = rng.sample(range(n), 2)
-            c = rng.choice((-2, -1, 1, 2))
-            for r in rows:
-                r[i] = r[j] * c
-                if rng.random() < 0.3:
-                    r[rng.randrange(n)] = 0
-            m = CoabelianSpec(2, tuple(map(tuple, rows)), m.vertices)
+        m = dependent_spec(rng, rng.randint(1, 8), rng.randint(1, 4))
         if matrix_rank(m) == 0:
             continue
         assert enumerate_patterns(m) == reference_patterns(m)
