@@ -182,8 +182,8 @@ def cmd_table(args) -> int:
     for mask in range(1, 1 << n):
         supports.append(tuple(v for i, v in enumerate(g.vertices)
                               if mask >> i & 1))
-    chunks = _split(supports, max(args.jobs, 1))
-    payloads = [(gdoc, args.p, chunk) for chunk in chunks if chunk]
+    chunks = _split(supports, verify.pool_size(args.jobs, len(supports)))
+    payloads = [(gdoc, args.p, chunk) for chunk in chunks]
     rows = []
     for part in verify.pmap(_table_chunk, payloads, args.jobs):
         rows.extend(part)

@@ -7,12 +7,13 @@ position i contributes the sign (-1)**(i-1).
 Two routes lead to the same reduced homology.  ``mask_reduced_homology``
 is the one the decision procedures use: it takes a vertex set as a
 bitmask of the ambient graph (a link is the support mask ANDed with the
-adjacency masks of the clique's members), deletes dominated vertices
-until none is left (a strong collapse, which keeps the homotopy type),
-and builds the boundary columns of what remains straight from clique
-masks: a face of c is ``c ^ bit`` and its sign is the parity of the
-bit's position in c.  The tuple route ``link_complex`` -> ``flag_complex``
--> ``simplicial_chain_complex`` -> ``reduced_homology`` builds the
+adjacency masks of the clique's members) and deletes dominated vertices
+until none is left (a strong collapse, which keeps the homotopy type).
+Each core left is ranked once per graph and prime, building only the
+boundary columns that clearing keeps: a face of c is ``c ^ bit``, keyed
+by that mask, and its sign is the parity of the bit's position in c.
+The tuple route ``link_complex`` -> ``flag_complex`` ->
+``simplicial_chain_complex`` -> ``reduced_homology`` builds the
 uncollapsed complex with named simplices; it is the oracle of the
 ``verify`` suites and the tests.
 """
@@ -230,50 +231,63 @@ def _check_low_degrees(h: dict, vertices: int, components: int):
                              f"connected components")
 
 
-def mask_reduced_homology(adj, vset: int, p: int) -> dict:
+def mask_reduced_homology(g: SimplicialGraph, vset: int, p: int) -> dict:
     """Reduced homology dimensions over F_p of the flag complex on the
-    vertex set ``vset`` of the graph with adjacency masks ``adj``.
+    vertex set ``vset`` of g.
 
     The complex is strong-collapsed first, so the result lists degrees
     -1 .. dim of the collapsed complex, which may stop below dim of the
-    original; every degree it leaves out has dimension 0.  The h_-1 and
-    h_0 self-checks compare with the emptiness and the component count
-    of the original vertex set.
+    original; every degree it leaves out has dimension 0.  The result
+    is g's memo entry for ``(core, p)``, shared by every link with that
+    core, so it must not be modified.  The h_-1 and h_0 self-checks run
+    on every call against the emptiness and component count of vset.
     """
+    adj = g.masks
     core = strong_collapse(adj, vset)
-    h = _mask_chain_complex(adj, core, p).homology()
+    h = g._homology.get((core, p))
+    if h is None:
+        h = g._homology[core, p] = _core_homology(adj, core, p)
     _check_low_degrees(h, vset.bit_count(), len(components(adj, vset)))
     return h
 
 
-def _mask_chain_complex(adj, vset: int, p: int) -> ChainComplexFp:
-    """Augmented chain complex of the flag complex on vset.
+def _core_homology(adj, vset: int, p: int) -> dict:
+    """Reduced homology of the flag complex on vset, top degree first.
 
-    Degree k-1 has one basis element per size-k clique, in the order of
-    ``clique_masks``; degree -1 holds the empty clique.  Removing the
-    bit in 0-based position i of a clique gives the face with sign
-    (-1)**i, so d_0 sends every vertex to 1.
+    Degree k-1 has one basis element per size-k clique, degree -1 the
+    empty clique.  The column of c has the row ``c ^ bit`` with sign
+    (-1)**i for the bit in 0-based position i of c, so d_0 sends every
+    vertex to 1.  A low of the boundary one degree up gets no column:
+    it is the largest key of a boundary, hence of a cycle, so its column
+    would reduce to zero (Chen-Kerber clearing; any order of keys works).
     """
-    check_prime(p)
     groups = clique_masks(adj, vset)
     signs = [1 if pos % 2 == 0 else p - 1 for pos in range(len(groups))]
-    boundaries = {}
-    for k in range(1, len(groups)):
-        index_below = {c: i for i, c in enumerate(groups[k - 1])}
+    ranks = [0] * (len(groups) + 1)     # ranks[k]: boundary of size-k cliques
+    lows = set()
+    for k in range(len(groups) - 1, 0, -1):
+        cleared, lows = lows, set()
         columns = []
         for c in groups[k]:
+            if c in cleared:
+                continue
             column = {}
             rest, pos = c, 0
             while rest:
                 bit = rest & -rest
                 rest ^= bit
-                column[index_below[c ^ bit]] = signs[pos]
+                column[c ^ bit] = signs[pos]
                 pos += 1
             columns.append(column)
-        boundaries[k - 1] = MatrixFp.from_columns(len(groups[k - 1]), p,
-                                                  columns)
-    dims = {k - 1: len(group) for k, group in enumerate(groups)}
-    return ChainComplexFp(p, -1, len(groups) - 2, dims, boundaries)
+        ranks[k] = rank_fp(MatrixFp.from_columns(len(groups[k - 1]), p,
+                                                 columns), lows=lows)
+    h = {}
+    for k, group in enumerate(groups):
+        dim = len(group) - ranks[k] - ranks[k + 1]
+        if dim < 0:
+            raise InternalDefect(f"negative homology dimension at degree {k - 1}")
+        h[k - 1] = dim
+    return h
 
 
 def is_k_acyclic(k: FlagComplex, p: int, level: int) -> bool:

@@ -197,7 +197,7 @@ def link_homology_table(g: SimplicialGraph, support, p: int) -> dict:
     The link of S is the support mask ANDed with the adjacency masks of
     S's members; its homology is that of its strong collapse, so the
     degrees listed for a link may stop below its dimension (the missing
-    ones are 0).
+    ones are 0).  Links with the same core share one read-only memo entry.
     """
     adj = g.masks
     supp = g.mask(support)
@@ -206,7 +206,7 @@ def link_homology_table(g: SimplicialGraph, support, p: int) -> dict:
         link = supp
         for v in s:
             link &= adj[g.index(v)]
-        table[s] = mask_reduced_homology(adj, link, p)
+        table[s] = mask_reduced_homology(g, link, p)
     return table
 
 

@@ -42,9 +42,11 @@ def check_prime(p: int) -> int:
 class MatrixFp:
     """Sparse rows x cols matrix over the field with p elements.
 
-    ``columns[j]`` maps the row index of each nonzero entry of column j
-    to its value in 1..p-1.  The constructor takes ``(i, j) -> value``
-    entries, checks their bounds and reduces them mod p.
+    ``columns[j]`` maps the row key of each nonzero entry of column j
+    to its value in 1..p-1.  Row keys are any ints, ordered as ints
+    (``rows`` counts them); the constructor and ``mul`` take 0..rows-1.
+    The constructor takes ``(i, j) -> value`` entries, checks their
+    bounds and reduces them mod p.
     """
 
     __slots__ = ("rows", "cols", "p", "columns")
@@ -66,8 +68,8 @@ class MatrixFp:
 
     @classmethod
     def from_columns(cls, rows: int, p: int, columns: list) -> "MatrixFp":
-        """The matrix with these columns, taken as they are: every row
-        index must lie in 0..rows-1 and every value in 1..p-1."""
+        """The matrix with these columns, taken as they are: ``rows``
+        distinct row keys in all, and every value in 1..p-1."""
         m = cls.__new__(cls)
         m.rows, m.cols, m.p, m.columns = rows, len(columns), check_prime(p), columns
         return m

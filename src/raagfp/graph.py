@@ -25,8 +25,11 @@ class SimplicialGraph:
     """Immutable finite simple graph (no loops, no multi-edges).
 
     Vertices keep their given order; edges are stored as pairs sorted by
-    that order.  Instances are never mutated after construction and may
-    be shared freely between concurrent tasks.
+    that order.  Vertices, edges and masks never change; two private
+    caches that depend only on them are filled on first use: ``_omega``,
+    the largest clique size, and ``_homology``, the memo of
+    ``flag_homology.mask_reduced_homology``.  A graph may be shared
+    between tasks.
 
     >>> g = SimplicialGraph(["a", "b", "c"], [("b", "a"), ("b", "c")])
     >>> sorted(g.neighbors("b"))
@@ -35,7 +38,7 @@ class SimplicialGraph:
     False
     """
 
-    __slots__ = ("vertices", "edges", "masks", "_index", "_omega")
+    __slots__ = ("vertices", "edges", "masks", "_index", "_omega", "_homology")
 
     def __init__(self, vertices, edges=()):
         vs = tuple(vertices)
@@ -63,6 +66,7 @@ class SimplicialGraph:
         self.masks = tuple(masks)
         self._index = index
         self._omega = None
+        self._homology = {}             # (core mask, p) -> reduced homology
 
     def __len__(self):
         return len(self.vertices)

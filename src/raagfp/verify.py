@@ -8,6 +8,7 @@ vertices removed until no smaller instance still fails.
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass
 
@@ -265,13 +266,20 @@ SUITES = {
 }
 
 
-def pmap(fn, payloads, jobs):
-    """[fn(x) for x in payloads], over a pool of ``jobs`` worker
-    processes when jobs > 1 and a pool can be started."""
-    if jobs > 1:
+def pool_size(jobs: int, tasks: int) -> int:
+    """``jobs`` capped by the task and CPU counts, and at least 1: a fork
+    pool starts all its workers at the first submit."""
+    return max(1, min(jobs, tasks, os.cpu_count() or 1))
+
+
+def pmap(fn, payloads: list, jobs):
+    """[fn(x) for x in payloads], over a pool of ``pool_size`` worker
+    processes when that is above 1 and a pool can be started."""
+    workers = pool_size(jobs, len(payloads))
+    if workers > 1:
         try:
             from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 return list(pool.map(fn, payloads))
         except OSError:
             pass

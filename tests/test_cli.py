@@ -193,6 +193,57 @@ def test_verify_jobs_do_not_change_the_report(capsys):
         run(capsys, argv + ["--jobs", "2"])
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replaces ProcessPoolExecutor with a stand-in that maps in this
+    process, so no worker is started, and reports the CPU count as 3.
+    Yields the (max_workers, tasks) of every pool asked for."""
+    import concurrent.futures
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            payloads = list(payloads)
+            sizes.append((self.max_workers, len(payloads)))
+            return map(fn, payloads)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    return sizes
+
+
+def test_pool_never_exceeds_the_tasks_or_the_cpus(pool_sizes):
+    from raagfp.verify import pmap
+    assert pmap(abs, [-1, -2], 4000) == [1, 2]
+    assert pmap(abs, list(range(-9, 0)), 4000) == list(range(9, 0, -1))
+    assert pmap(abs, [-1], 4000) == [1]         # one task: no pool
+    assert pmap(abs, [-1, -2], 1) == [1, 2]
+    assert pool_sizes == [(2, 2), (3, 9)]
+
+
+def test_huge_jobs_split_table_and_verify_by_the_pool_size(
+        files, capsys, monkeypatch, pool_sizes):
+    gp, _ = c4_files(files)
+    serial = run(capsys, ["table", gp, "--jobs", "1"])
+    assert run(capsys, ["table", gp, "--jobs", "4000"]) == serial
+    monkeypatch.setenv("RAAGFP_JOBS", "4000")
+    assert run(capsys, ["table", gp]) == serial
+    argv = ["verify", "--trials", "1", "--max-vertices", "4"]
+    assert run(capsys, argv) == run(capsys, argv + ["--jobs", "1"])
+    # 15 table rows and 6 verify suites, 3 CPUs
+    assert pool_sizes == [(3, 3), (3, 3), (3, 6)]
+
+
 def test_verify_negative_control():
     # a deliberately corrupted boundary must be caught by the same check
     # the verify suites run

@@ -1,9 +1,10 @@
 """The bitmask link route against the tuple route it replaced.
 
 ``link_homology_table`` builds each link as a vertex bitmask, strong-
-collapses it and ranks the boundaries of what is left.  The tuple route
-(``link_complex`` -> ``flag_complex`` -> ``reduced_homology``) builds the
-uncollapsed complex with named simplices and is the oracle here.
+collapses it and ranks the boundaries of what is left, once per core
+and prime per graph.  The tuple route (``link_complex`` ->
+``flag_complex`` -> ``reduced_homology``) builds the uncollapsed complex
+with named simplices and is the oracle here.
 """
 
 import random
@@ -12,8 +13,10 @@ from itertools import combinations
 import pytest
 
 from graphref import is_connected
-from raagfp import corpus
-from raagfp.flag_homology import link_complex, reduced_homology
+from raagfp import corpus, flag_homology, fpmatrix
+from raagfp.errors import InternalDefect
+from raagfp.flag_homology import (link_complex, mask_reduced_homology,
+                                  reduced_homology)
 from raagfp.fpcheck import (Character, analyze, character_complex,
                             homology_from_links, link_homology_table, max_fp,
                             outside_cliques)
@@ -188,3 +191,98 @@ def test_max_fp_never_rises_when_the_support_shrinks():
             assert max_fp(g, smaller) <= level, (g, supp, v)
             removals += 1
     assert removals > 100
+
+
+# the 6-vertex triangulation of the real projective plane
+RP2_TRIANGLES = ((1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+                 (2, 3, 5), (3, 4, 6), (2, 4, 5), (3, 5, 6), (2, 4, 6))
+
+
+def rp2():
+    """Flag triangulation of RP^2: the barycentric subdivision of the
+    6-vertex RP^2, whose vertices are its 31 faces and whose 90 edges
+    join a face to its proper faces.  H_1 is Z/2, so over F_2 the
+    reduced homology is 1 in degrees 1 and 2, and over an odd prime 0."""
+    faces = sorted({f for t in RP2_TRIANGLES for k in (1, 2, 3)
+                    for f in combinations(t, k)}, key=lambda f: (len(f), f))
+    name = {f: "f" + "".join(map(str, f)) for f in faces}
+    return SimplicialGraph(name.values(),
+                           [(name[a], name[b]) for a in faces for b in faces
+                            if len(a) < len(b) and set(a) < set(b)])
+
+
+def test_rp2_has_torsion_only_at_2():
+    g = rp2()
+    assert (len(g), len(g.edges)) == (31, 90)
+    rng = random.Random("rp2")
+    full = frozenset(g.vertices)
+    for p in (2, 3, 5):
+        table = link_homology_table(g, full, p)
+        torsion = int(p == 2)
+        assert table == {(): {-1: 0, 0: 0, 1: torsion, 2: torsion}}
+        for supp in [full] + [full - set(rng.sample(g.vertices, 3))
+                              for _ in range(2)]:
+            for s, dims in link_homology_table(g, supp, p).items():
+                oracle = reduced_homology(link_complex(g, supp, s), p)
+                assert {d: dims.get(d, 0) for d in oracle} == oracle, (supp, s)
+
+
+def test_rp2_fp_level_depends_on_p():
+    inf = float("inf")
+    for p, level in ((2, 1), (3, inf)):
+        g = rp2()
+        assert max_fp(g, corpus.ones_character(g, p)) == level
+    g = rp2()               # one graph, so one memo, asked at p = 2, 3, 2
+    assert [max_fp(g, corpus.ones_character(g, p)) for p in (2, 3, 2)] == \
+        [1, inf, 1]
+
+
+def test_warm_memo_tables_equal_fresh_graph_tables():
+    rng = random.Random("memo")
+    links = entries = 0
+    for _ in range(12):
+        g = with_extras(rng, random_graph(rng, rng.randint(1, 6),
+                                          rng.uniform(0.3, 0.9)))
+        p = rng.choice((2, 3))
+        for vset in range(1 << len(g)):         # every support, even none
+            supp = g.members(vset)
+            warm = link_homology_table(g, supp, p)
+            fresh = SimplicialGraph(g.vertices, g.edges)
+            assert warm == link_homology_table(fresh, supp, p), (g, supp)
+            links += len(warm)
+        entries += len(g._homology)
+    assert entries < links / 10         # most links were memo hits
+
+
+def test_corrupt_memo_entry_is_caught_on_the_next_link_with_its_core():
+    g = corpus.path(3)                  # v1 - v2 - v3
+    h = mask_reduced_homology(g, 0b111, 2)
+    assert list(g._homology) == [(0b100, 2)]    # collapsed onto v3
+    g._homology[0b100, 2] = {**h, 0: h[0] + 1}
+    with pytest.raises(InternalDefect):
+        mask_reduced_homology(g, 0b110, 2)      # v2 - v3, same core
+
+
+def test_clearing_builds_no_column_that_is_a_low_above(monkeypatch):
+    # octahedron: 8 triangles, 12 edges, 6 vertices, boundary ranks 7,
+    # 5, 1; the lows of each rank are the columns cleared one degree down
+    shapes = []
+
+    def recording(m, **kw):
+        shapes.append((m.rows, m.cols))
+        return fpmatrix.rank_fp(m, **kw)
+
+    monkeypatch.setattr(flag_homology, "rank_fp", recording)
+    g = corpus.octahedron()
+    assert mask_reduced_homology(g, (1 << 6) - 1, 3) == \
+        {-1: 0, 0: 0, 1: 0, 2: 1}
+    assert shapes == [(12, 8), (6, 12 - 7), (1, 6 - 5)]
+
+
+def test_too_high_rank_above_degree_0_is_a_negative_dimension(monkeypatch):
+    # one rank too many for the triangles of the octahedron leaves
+    # h_-1 and h_0 right, so only the negative degree-1 dimension shows
+    monkeypatch.setattr(flag_homology, "rank_fp", lambda m, **kw:
+                        fpmatrix.rank_fp(m, **kw) + (m.rows == 12))
+    with pytest.raises(InternalDefect, match="negative .* at degree 1"):
+        mask_reduced_homology(corpus.octahedron(), (1 << 6) - 1, 3)
