@@ -5,8 +5,8 @@ failure), 2 malformed input or bad arguments (a RAAGFP_JOBS that is not
 an integer included), 3 inapplicable analysis
 (zero character, rank-0 matrix, index bounds violated on a graph of
 groups whose free rank is below 2), 4 internal defect (a failed
-self-check or a violated index bound on input that meets the theorem's
-hypotheses).
+self-check, a violated index bound on input that meets the theorem's
+hypotheses, or any other exception, reported with its type).
 
 Reports are JSON by default (--format text for plain text) and are
 byte-identical across runs for fixed inputs and seed.
@@ -20,6 +20,7 @@ import hashlib
 import json
 import os
 import sys
+import traceback
 from json.encoder import encode_basestring_ascii
 
 from . import __version__, coabelian, fpcheck, gog, verify
@@ -127,6 +128,9 @@ def _graph_and_character(args):
     g = parse_graph(gdoc)
     chi = fpcheck.parse_character(cdoc)
     chi.require_defined_on(g)
+    for v in chi.values:
+        if v not in g:
+            raise SchemaError(f"character defined on a non-vertex: {v!r}")
     inputs = {"graph_sha256": _digest(gdoc), "p": chi.p,
               "character": dict(chi.values)}
     return g, chi, inputs
@@ -373,6 +377,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
+    except Exception as exc:    # a crash must not read as "verdict false"
+        print(f"error: internal defect: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_DEFECT
 
 
 if __name__ == "__main__":

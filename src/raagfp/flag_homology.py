@@ -16,6 +16,12 @@ The tuple route ``link_complex`` -> ``flag_complex`` ->
 ``simplicial_chain_complex`` -> ``reduced_homology`` builds the
 uncollapsed complex with named simplices; it is the oracle of the
 ``verify`` suites and the tests.
+
+This module owns every chain-complex convention.  Both routes, and the
+support complex of ``fpcheck.character_complex``, are ranked by one
+top-down clearing pass (``_clearing_pass``), and both tuple complexes
+come from one clique-boundary builder (``_clique_complex``).  Every
+complex starts at the empty clique and squares to zero in every degree.
 """
 
 from __future__ import annotations
@@ -91,26 +97,14 @@ class ChainComplexFp:
 
     ``dims`` maps each degree in [lo, hi] to its basis size and
     ``boundaries[n]`` holds d_n for lo < n <= hi (absent means zero).
-    ``chain_floor`` is the least degree n for which d_n . d_(n+1) = 0 is
-    part of the contract; homology is defined from that degree up.  For
-    simplicial complexes the whole range qualifies.  The support
-    complex of a character keeps its bottom rung (the augmentation
-    receiving the empty clique) for display, but its chain condition
-    and homology start at degree 1.
-
-    All boundary ranks come from one top-down pass with clearing: d_n
-    is reduced after d_(n+1), skipping the columns that are lows of
-    d_(n+1)'s pivots.  A reduced column of d_(n+1) is a boundary, hence
-    a cycle of d_n, whose largest basis index is its low, so that column
-    of d_n is a combination of earlier ones and would reduce to zero.
-    This needs d_n . d_(n+1) = 0, so only d_n with n >= chain_floor is
-    cleared.
+    The clearing pass that ranks the boundaries needs d_n . d_(n+1) = 0;
+    every complex this module builds satisfies it in every degree, and
+    ``dd_violation`` checks it.
     """
 
-    __slots__ = ("p", "lo", "hi", "dims", "boundaries", "chain_floor",
-                 "_ranks")
+    __slots__ = ("p", "lo", "hi", "dims", "boundaries", "_ranks", "_homology")
 
-    def __init__(self, p, lo, hi, dims, boundaries, chain_floor=None):
+    def __init__(self, p, lo, hi, dims, boundaries):
         check_prime(p)
         if hi < lo:
             raise ValueError("empty degree range")
@@ -119,8 +113,7 @@ class ChainComplexFp:
         self.hi = hi
         self.dims = {n: int(dims.get(n, 0)) for n in range(lo, hi + 1)}
         self.boundaries = dict(boundaries)
-        self.chain_floor = lo if chain_floor is None else chain_floor
-        self._ranks = None
+        self._ranks = self._homology = None
         for n, m in self.boundaries.items():
             if not (lo < n <= hi):
                 raise ValueError(f"boundary degree out of range: {n}")
@@ -130,74 +123,100 @@ class ChainComplexFp:
 
     def boundary(self, n: int) -> MatrixFp:
         """d_n, materialized as a zero matrix when absent."""
-        if n in self.boundaries:
-            return self.boundaries[n]
-        rows = self.dims.get(n - 1, 0)
-        cols = self.dims.get(n, 0)
-        return MatrixFp(rows, cols, self.p)
+        return self.boundaries.get(n) or MatrixFp(
+            self.dims.get(n - 1, 0), self.dims.get(n, 0), self.p)
+
+    def _reduce(self):
+        """Rank every boundary and take the homology, in one clearing
+        pass over the columns of each d_n whose indices are not lows."""
+        def columns(k, cleared):
+            m = self.boundaries.get(self.lo + k)
+            if m is None:
+                return []
+            return [col for j, col in enumerate(m.columns) if j not in cleared]
+
+        ranks, h = _clearing_pass(
+            self.p, self.lo, [self.dims[n] for n in range(self.lo, self.hi + 1)],
+            columns)
+        self._ranks = dict(enumerate(ranks, self.lo))
+        self._homology = dict(enumerate(h, self.lo))
 
     def boundary_rank(self, n: int) -> int:
         if self._ranks is None:
-            self._ranks = self._reduce()
+            self._reduce()
         return self._ranks.get(n, 0)
 
-    def _reduce(self) -> dict:
-        """Rank of every nonzero boundary, top degree first, clearing
-        each d_n with n >= chain_floor by the lows of d_(n+1)."""
-        ranks = {}
-        lows = set()                    # lows of d_(n+1)
-        for n in range(self.hi, self.lo, -1):
-            cleared = lows if n >= self.chain_floor else frozenset()
-            lows = set()
-            if n in self.boundaries:
-                ranks[n] = rank_fp(self.boundaries[n], cleared=cleared,
-                                   lows=lows)
-        return ranks
-
     def dd_violation(self):
-        """First degree n >= chain_floor with d_n . d_(n+1) != 0, else None."""
-        for n in range(max(self.chain_floor, self.lo + 1), self.hi):
+        """First degree n with d_n . d_(n+1) != 0, else None."""
+        for n in range(self.lo + 1, self.hi):
             if not self.boundary(n).mul(self.boundary(n + 1)).is_zero():
                 return n
         return None
 
     def homology(self) -> dict:
-        """Dimension of ker d_n / im d_(n+1) for chain_floor <= n <= hi."""
-        out = {}
-        for n in range(max(self.chain_floor, self.lo), self.hi + 1):
-            dim = self.dims[n] - self.boundary_rank(n) - self.boundary_rank(n + 1)
-            if dim < 0:
-                raise InternalDefect(f"negative homology dimension at degree {n}")
-            out[n] = dim
-        return out
+        """Dimension of ker d_n / im d_(n+1) for lo <= n <= hi."""
+        if self._homology is None:
+            self._reduce()
+        return dict(self._homology)
 
 
-def simplicial_chain_complex(k: FlagComplex, p: int, augmented: bool = True
-                             ) -> ChainComplexFp:
-    """Chain complex of a flag complex; size-n cliques sit in degree n-1.
+def _clearing_pass(p: int, lo: int, sizes: list, columns) -> tuple:
+    """Boundary ranks and homology of a chain complex with sizes[k]
+    basis elements in degree lo + k, in one top-down pass.
 
-    With ``augmented`` the complex gains degree -1 of dimension 1 and
-    the map sending every vertex to 1.  Each boundary is built column by
-    column, one column per simplex, with entries +1 and -1 mod p.
+    ``columns(k, cleared)`` lists the columns of the boundary out of
+    degree lo + k as ``{row key: value}`` dicts, leaving out the columns
+    whose keys are in ``cleared``: the lows of the boundary one degree
+    up.  A reduced column of that boundary is a boundary, hence a cycle,
+    whose largest key is its low, so the column of that low would reduce
+    to zero (Chen-Kerber clearing; this needs d . d = 0, and any order
+    of keys works).  Returns ``(ranks, h)``: ranks[k] is the rank of the
+    boundary out of degree lo + k (ranks[0] and ranks[-1] are 0) and
+    h[k] the homology dimension in degree lo + k.
     """
-    check_prime(p)
-    lo = -1 if augmented else 0
-    hi = max(k.dim, lo)
-    dims = {-1: 1} if augmented else {}
-    for d in range(0, k.dim + 1):
-        dims[d] = len(k.group(d + 1))
+    ranks = [0] * (len(sizes) + 1)
+    lows = set()                        # lows of the boundary one degree up
+    for k in range(len(sizes) - 1, 0, -1):
+        cleared, lows = lows, set()
+        ranks[k] = rank_fp(MatrixFp.from_columns(sizes[k - 1], p,
+                                                 columns(k, cleared)), lows=lows)
+    h = []
+    for k, size in enumerate(sizes):
+        dim = size - ranks[k] - ranks[k + 1]
+        if dim < 0:
+            raise InternalDefect(f"negative homology dimension at degree {lo + k}")
+        h.append(dim)
+    return ranks, h
+
+
+def _clique_complex(groups, p: int, lo: int, removable=None) -> ChainComplexFp:
+    """Chain complex with one basis element per clique: ``groups[k]``
+    lists the size-k cliques as vertex tuples (groups[0] holds the empty
+    clique) and sits in degree lo + k.
+
+    The boundary of a clique removes each of its vertices that lies in
+    ``removable`` (every vertex when None); removing the vertex in
+    0-based position i gives the sign (-1)**i.  Each boundary is built
+    column by column, one column per clique.
+    """
     boundaries = {}
-    if augmented and dims.get(0):
-        boundaries[0] = MatrixFp.from_columns(1, p,
-                                              [{0: 1} for _ in range(dims[0])])
-    for d in range(1, k.dim + 1):
-        index_below = {simplex: i for i, simplex in enumerate(k.group(d))}
-        signs = [1 if pos % 2 == 0 else p - 1 for pos in range(d + 1)]
-        boundaries[d] = MatrixFp.from_columns(dims[d - 1], p, [
-            {index_below[simplex[:pos] + simplex[pos + 1:]]: sign
-             for pos, sign in enumerate(signs)}
-            for simplex in k.group(d + 1)])
-    return ChainComplexFp(p, lo, hi, dims, boundaries)
+    for k in range(1, len(groups)):
+        index_below = {c: i for i, c in enumerate(groups[k - 1])}
+        signs = [1 if pos % 2 == 0 else p - 1 for pos in range(k)]
+        boundaries[lo + k] = MatrixFp.from_columns(len(groups[k - 1]), p, [
+            {index_below[c[:pos] + c[pos + 1:]]: sign
+             for pos, sign in enumerate(signs)
+             if removable is None or c[pos] in removable}
+            for c in groups[k]])
+    dims = {lo + k: len(group) for k, group in enumerate(groups)}
+    return ChainComplexFp(p, lo, lo + len(groups) - 1, dims, boundaries)
+
+
+def simplicial_chain_complex(k: FlagComplex, p: int) -> ChainComplexFp:
+    """Augmented chain complex of a flag complex: size-n cliques sit in
+    degree n-1, the empty clique in degree -1, and d_0 sends every
+    vertex to 1."""
+    return _clique_complex([[()]] + k.simplices, p, -1)
 
 
 def reduced_homology(k: FlagComplex, p: int) -> dict:
@@ -208,7 +227,7 @@ def reduced_homology(k: FlagComplex, p: int) -> dict:
     rank: h_-1 is 1 exactly when k is empty, and h_0 + 1 is the number
     of connected components of the 1-skeleton.
     """
-    h = simplicial_chain_complex(k, p, augmented=True).homology()
+    h = simplicial_chain_complex(k, p).homology()
     index = {v: i for i, (v,) in enumerate(k.group(1))}
     adj = [0] * len(index)
     for a, b in k.group(2):
@@ -252,22 +271,19 @@ def mask_reduced_homology(g: SimplicialGraph, vset: int, p: int) -> dict:
 
 
 def _core_homology(adj, vset: int, p: int) -> dict:
-    """Reduced homology of the flag complex on vset, top degree first.
+    """Reduced homology of the flag complex on vset.
 
     Degree k-1 has one basis element per size-k clique, degree -1 the
     empty clique.  The column of c has the row ``c ^ bit`` with sign
     (-1)**i for the bit in 0-based position i of c, so d_0 sends every
-    vertex to 1.  A low of the boundary one degree up gets no column:
-    it is the largest key of a boundary, hence of a cycle, so its column
-    would reduce to zero (Chen-Kerber clearing; any order of keys works).
+    vertex to 1.  Columns are keyed by their clique masks, so a cleared
+    low is a clique whose column is never built.
     """
     groups = clique_masks(adj, vset)
     signs = [1 if pos % 2 == 0 else p - 1 for pos in range(len(groups))]
-    ranks = [0] * (len(groups) + 1)     # ranks[k]: boundary of size-k cliques
-    lows = set()
-    for k in range(len(groups) - 1, 0, -1):
-        cleared, lows = lows, set()
-        columns = []
+
+    def columns(k, cleared):
+        out = []
         for c in groups[k]:
             if c in cleared:
                 continue
@@ -278,16 +294,11 @@ def _core_homology(adj, vset: int, p: int) -> dict:
                 rest ^= bit
                 column[c ^ bit] = signs[pos]
                 pos += 1
-            columns.append(column)
-        ranks[k] = rank_fp(MatrixFp.from_columns(len(groups[k - 1]), p,
-                                                 columns), lows=lows)
-    h = {}
-    for k, group in enumerate(groups):
-        dim = len(group) - ranks[k] - ranks[k + 1]
-        if dim < 0:
-            raise InternalDefect(f"negative homology dimension at degree {k - 1}")
-        h[k - 1] = dim
-    return h
+            out.append(column)
+        return out
+
+    _, h = _clearing_pass(p, -1, list(map(len, groups)), columns)
+    return dict(enumerate(h, -1))
 
 
 def is_k_acyclic(k: FlagComplex, p: int, level: int) -> bool:

@@ -39,14 +39,15 @@ against the link table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import EpimorphismError, SchemaError
 # reduced_homology, the tuple-route oracle, is not called here; the
 # binding stays because perfbench/spans.py wraps it
-from .flag_homology import (ChainComplexFp, is_k_acyclic, link_complex,
-                            mask_reduced_homology, reduced_homology)
-from .fpmatrix import MatrixFp, check_prime
+from .flag_homology import (ChainComplexFp, _clique_complex, is_k_acyclic,
+                            link_complex, mask_reduced_homology,
+                            reduced_homology)
+from .fpmatrix import check_prime
 from .graph import (SimplicialGraph, components, enumerate_cliques,
                     induced_subgraph)
 
@@ -159,33 +160,16 @@ def character_complex(g: SimplicialGraph, chi: Character) -> ChainComplexFp:
     """The support complex of the character over F_p.
 
     Degree n has one basis element per clique of size n (note: clique
-    cardinality, one more than the simplex dimension).  The boundary of
-    a clique keeps only the removal terms for vertices with nonzero
-    character value, with sign (-1)**(i-1) for 1-based position i.
-    Degree -1 is a single copy of F_p receiving the empty clique under
-    the augmentation; the chain condition and homology start at
-    degree 1 (the augmentation rung is not squared against d_1).
+    cardinality, one more than the simplex dimension), starting with
+    the empty clique in degree 0.  The boundary of a clique removes only
+    its support vertices, so h_0 is 1 exactly when the support is empty.
     """
-    chi.require_defined_on(g)
-    p = chi.p
-    groups = enumerate_cliques(g)
-    top = len(groups) - 1
-    dims = {-1: 1}
-    for n in range(0, top + 1):
-        dims[n] = len(groups[n])
-    boundaries = {0: MatrixFp.from_columns(1, p, [{0: 1}])}
-    for n in range(1, top + 1):
-        index_below = {c: i for i, c in enumerate(groups[n - 1])}
-        signs = [1 if pos % 2 == 0 else p - 1 for pos in range(n)]
-        boundaries[n] = MatrixFp.from_columns(dims[n - 1], p, [
-            {index_below[clique[:pos] + clique[pos + 1:]]: sign
-             for pos, sign in enumerate(signs) if chi.values[clique[pos]] != 0}
-            for clique in groups[n]])
-    return ChainComplexFp(p, -1, top, dims, boundaries, chain_floor=1)
+    return _clique_complex(enumerate_cliques(g), chi.p, 0, chi.support(g))
 
 
 def outside_cliques(g: SimplicialGraph, support) -> list:
-    """Cliques of g whose members all avoid ``support``, every size."""
+    """Cliques of g whose members all avoid ``support``, by size, each
+    size in lexicographic order of vertex positions."""
     rest = [v for v in g.vertices if v not in support]
     sub = induced_subgraph(g, rest)
     return [c for group in enumerate_cliques(sub) for c in group]
@@ -198,6 +182,8 @@ def link_homology_table(g: SimplicialGraph, support, p: int) -> dict:
     S's members; its homology is that of its strong collapse, so the
     degrees listed for a link may stop below its dimension (the missing
     ones are 0).  Links with the same core share one read-only memo entry.
+    The keys come in ``outside_cliques`` order: by size, then by vertex
+    positions, which is the order reports list them in.
     """
     adj = g.masks
     supp = g.mask(support)
@@ -317,15 +303,13 @@ class DegreeRow:
     fp_complex: bool
     fp_links: bool
     complex_homology_dim: int
-    link_dims: dict             # outside clique -> link dim at this degree
+    link_dims: dict             # outside clique -> link dim, in table order
 
-    def document(self, g: SimplicialGraph) -> dict:
+    def document(self) -> dict:
         links = [{"clique": list(s),
                   "level": self.clique_size - 1 - len(s),
                   "dim": d}
-                 for s, d in sorted(self.link_dims.items(),
-                                    key=lambda kv: (len(kv[0]),
-                                                    tuple(map(g.index, kv[0]))))]
+                 for s, d in self.link_dims.items()]
         return {"clique_size": self.clique_size,
                 "simplex_dim": self.simplex_dim,
                 "fp_complex": self.fp_complex,
@@ -345,7 +329,6 @@ class FpnReport:
     degrees: tuple
     max_fp: object              # int or math.inf
     decomposition: DecompositionReport
-    graph: SimplicialGraph = field(compare=False)
 
     @property
     def routes_agree(self) -> bool:
@@ -357,7 +340,7 @@ class FpnReport:
             "support": list(self.support),
             "rescaled_by_power": self.rescaled_by_power,
             "fg": self.fg,
-            "degrees": [r.document(self.graph) for r in self.degrees],
+            "degrees": [r.document() for r in self.degrees],
             "max_fp": "inf" if self.max_fp == INFINITE else self.max_fp,
             "routes_agree": self.routes_agree,
             "decomposition": {
@@ -404,4 +387,4 @@ def analyze(g: SimplicialGraph, chi: Character, max_n: int | None = None
     return FpnReport(p=chi.p, support=g.sorted(supp), fg=h[1] == 0,
                      rescaled_by_power=check.rescaled_by_power,
                      degrees=tuple(rows), max_fp=_level(h),
-                     decomposition=deco, graph=g)
+                     decomposition=deco)

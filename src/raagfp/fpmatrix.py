@@ -6,11 +6,8 @@ construction.  Rank is a sparse column reduction, the one persistent
 homology uses (Edelsbrunner-Letscher-Zomorodian; Bauer's Ripser):
 columns are reduced left to right against a dict of pivot columns keyed
 by their largest row index (their low).  Any prime p < 2**31 works.
-
-``rank_fp`` can skip a set of columns and report the lows of its pivot
-columns.  ``ChainComplexFp`` uses both for clearing (Chen-Kerber,
-"Persistent homology computation with a twist"): the lows of d_(n+1)
-are columns of d_n that reduce to zero, so they are never reduced.
+``rank_fp`` can report the lows of its pivot columns; chain complexes
+and their clearing pass live in ``flag_homology``.
 """
 
 from __future__ import annotations
@@ -111,9 +108,8 @@ class MatrixFp:
         return f"MatrixFp({self.rows}x{self.cols} mod {self.p}, nnz={self.nnz()})"
 
 
-def rank_fp(m: MatrixFp, cleared=frozenset(), lows=None) -> int:
-    """Rank over the field with m.p elements of m without the columns
-    whose indices are in ``cleared``.
+def rank_fp(m: MatrixFp, lows=None) -> int:
+    """Rank of m over the field with m.p elements.
 
     Column reduction: each column is reduced against the stored pivot
     columns until it is zero or its largest row index (its low) has no
@@ -124,9 +120,7 @@ def rank_fp(m: MatrixFp, cleared=frozenset(), lows=None) -> int:
     """
     p = m.p
     pivots = {}
-    for j, column in enumerate(m.columns):
-        if not column or j in cleared:
-            continue
+    for column in m.columns:
         col = column
         while col:
             low = max(col)

@@ -13,6 +13,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import SchemaError
+from .graph import components
 
 
 @dataclass(frozen=True)
@@ -66,23 +67,13 @@ class GraphOfFiniteGroups:
             norm.append(e)
         self.orders = orders
         self.edges = tuple(sorted(norm, key=lambda e: e.id))
-        if not self._connected():
-            raise SchemaError("underlying multigraph is not connected")
-
-    def _connected(self) -> bool:
-        verts = list(self.orders)
-        adj = {v: set() for v in verts}
+        position = {v: i for i, v in enumerate(orders)}
+        adj = [0] * len(orders)
         for e in self.edges:
-            adj[e.d0].add(e.d1)
-            adj[e.d1].add(e.d0)
-        seen = {verts[0]}
-        stack = [verts[0]]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(verts)
+            adj[position[e.d0]] |= 1 << position[e.d1]
+            adj[position[e.d1]] |= 1 << position[e.d0]
+        if len(components(adj, (1 << len(orders)) - 1)) != 1:
+            raise SchemaError("underlying multigraph is not connected")
 
     def __eq__(self, other):
         return (isinstance(other, GraphOfFiniteGroups)
@@ -108,6 +99,10 @@ def parse_gog(document) -> GraphOfFiniteGroups:
     except (TypeError, KeyError) as exc:
         raise SchemaError(f"missing field in graph-of-groups document: {exc}") \
             from None
+    for name in [v for v, _ in vertex_orders] + \
+            [n for e in edges for n in (e.id, e.d0, e.d1)]:
+        if not isinstance(name, str):
+            raise SchemaError(f"vertex and edge ids must be strings: {name!r}")
     return GraphOfFiniteGroups(vertex_orders, edges)
 
 

@@ -313,6 +313,42 @@ DEFECT_ARGV = ["fpn", str(CORPUS / "cycle4.graph.json"),
                str(CORPUS / "cycle4.ones.chi.json")]
 
 
+def test_gog_ids_that_are_not_strings_are_schema_errors(files, capsys):
+    docs = [{"vertices": [{"id": ["v"], "order": 2}], "edges": []}]
+    for field, bad in (("id", ["e"]), ("d0", 7), ("d1", {"v": 1})):
+        edge = {"id": "e", "d0": "v", "d1": "v", "order": 1, field: bad}
+        docs.append({"vertices": [{"id": "v", "order": 2}], "edges": [edge]})
+    for doc in docs:
+        assert main(["gog", files("bad.json", doc)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "must be strings" in err
+
+
+def test_character_keys_outside_the_graph_are_rejected(files, capsys):
+    gp = files("p3.json", graph_document(corpus.path(3)))
+    cp = files("extra.json", {"p": 2, "chi": {"v1": 1, "v2": 1, "v3": 1,
+                                              "zz": 5}})
+    for command in ("fg", "fpn"):
+        assert main([command, gp, cp]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "'zz'" in err
+
+
+def test_unmapped_exception_exits_as_internal_defect(monkeypatch, capsys):
+    # a crash must not exit 1, which reads as "verdict false"
+    from raagfp import fpcheck
+
+    def broken(*args, **kwargs):
+        raise TypeError("unhashable type: 'list'")
+
+    monkeypatch.setattr(fpcheck, "analyze", broken)
+    assert main(DEFECT_ARGV) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "error: internal defect: TypeError: unhashable type: 'list'\n")
+    assert "Traceback" in err
+
+
 def test_wrong_rank_exits_as_internal_defect(monkeypatch, capsys):
     from raagfp import flag_homology, fpmatrix
     monkeypatch.setattr(flag_homology, "rank_fp",

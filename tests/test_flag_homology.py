@@ -56,17 +56,8 @@ def test_chain_condition_holds():
     for _ in range(15):
         g = random_graph(rng, rng.randint(0, 7))
         for p in (2, 3):
-            for augmented in (True, False):
-                cx = simplicial_chain_complex(flag_complex(g), p, augmented)
-                assert cx.dd_violation() is None
-
-
-def test_unaugmented_complex():
-    cx = simplicial_chain_complex(flag_complex(corpus.cycle(4)), 2,
-                                  augmented=False)
-    assert cx.lo == 0 and 0 not in cx.boundaries
-    h = cx.homology()
-    assert h == {0: 1, 1: 1}  # unreduced homology of a circle
+            cx = simplicial_chain_complex(flag_complex(g), p)
+            assert cx.dd_violation() is None
 
 
 def test_reduced_homology_examples():

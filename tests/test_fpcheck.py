@@ -7,10 +7,12 @@ from dense import to_dense
 
 from raagfp import corpus
 from raagfp.errors import EpimorphismError
+from raagfp.flag_homology import link_complex, simplicial_chain_complex
 from raagfp.fpcheck import (Character, analyze, character_complex,
                             check_surjective, decomposition_check,
-                            fp_via_complex, fp_via_links, is_fg, max_fp,
-                            parse_character)
+                            fp_via_complex, fp_via_links, homology_from_links,
+                            is_fg, link_homology_table, max_fp,
+                            outside_cliques, parse_character)
 from raagfp.graph import SimplicialGraph, induced_subgraph
 
 
@@ -69,8 +71,8 @@ def test_is_fg_examples():
 def test_character_complex_c4():
     c4 = corpus.cycle(4)
     cx = character_complex(c4, corpus.ones_character(c4, 2))
-    assert cx.dims == {-1: 1, 0: 1, 1: 4, 2: 4}
-    assert cx.homology() == {1: 0, 2: 1}
+    assert cx.dims == {0: 1, 1: 4, 2: 4}
+    assert cx.homology() == {0: 0, 1: 0, 2: 1}
     # full support: the degree-2 boundary is the plain edge boundary
     simp = character_complex(c4, corpus.ones_character(c4, 2)).boundary(2)
     from raagfp.flag_homology import flag_complex, simplicial_chain_complex
@@ -84,24 +86,67 @@ def test_character_complex_p3_boundaries():
     d1 = to_dense(cx.boundary(1))
     assert d1 == [[1, 0, 1]]          # v1, v3 hit the empty clique; v2 dies
     assert cx.boundary_rank(2) == 1
-    assert cx.homology() == {1: 1, 2: 1}
+    assert cx.homology() == {0: 0, 1: 1, 2: 1}
 
 
 def test_character_complex_zero_character():
     p3 = corpus.path(3)
     cx = character_complex(p3, chi_of(p3, (0, 0, 0)))
-    assert to_dense(cx.boundary(0)) == [[1]]      # augmentation only
+    assert cx.lo == 0 and cx.dims[0] == 1          # the empty clique
     assert cx.boundary(1).is_zero() and cx.boundary(2).is_zero()
+    assert cx.homology()[0] == 1
 
 
-def test_character_complex_chain_condition_above_floor():
+def test_character_complex_chain_condition():
     rng = random.Random("ccdd")
     for _ in range(20):
         g = random_graph(rng, rng.randint(1, 7))
         vals = [rng.randint(-3, 3) for _ in g.vertices]
         cx = character_complex(g, chi_of(g, vals, p=rng.choice((2, 3, 5))))
-        assert cx.chain_floor == 1
         assert cx.dd_violation() is None
+
+
+def test_support_complex_against_link_table_in_every_degree():
+    # degree 0 holds the empty clique alone, so h_0 is the S = () block
+    # of the decomposition identity: 1 exactly when the support is empty
+    rng = random.Random("support-complex-degrees")
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(0, 7), density=rng.uniform(0.2, 0.9))
+        p = rng.choice((2, 3, 5))
+        chi = Character(p, {v: rng.choice((0, 0, 1, -1, 2))
+                            for v in g.vertices})
+        supp = chi.support(g)
+        cx = character_complex(g, chi)
+        h = cx.homology()
+        assert cx.lo == 0 and h[0] == (0 if supp else 1)
+        links = link_homology_table(g, supp, p)
+        assert h[0] == links[()].get(-1, 0)
+        sums = homology_from_links(g, links)
+        assert {n: d for n, d in h.items() if n >= 1} == sums
+        assert cx.dd_violation() is None
+        for s in outside_cliques(g, supp):
+            link = simplicial_chain_complex(link_complex(g, supp, s), p)
+            assert link.dd_violation() is None
+
+
+def test_link_table_keys_come_in_report_order():
+    # the report lists each degree's outside cliques in table order,
+    # which must be by size, then by vertex positions
+    rng = random.Random("table-order")
+    for _ in range(20):
+        g = random_graph(rng, rng.randint(1, 7), density=0.4)
+        order = list(g.vertices)
+        rng.shuffle(order)
+        g = SimplicialGraph(order, g.edges)
+        vals = {v: rng.choice((0, 1)) for v in g.vertices}
+        vals[order[-1]] = 1
+        chi = Character(2, vals)
+        keys = list(link_homology_table(g, chi.support(g), 2))
+        assert keys == sorted(keys, key=lambda s: (len(s),
+                                                   tuple(map(g.index, s))))
+        for row in analyze(g, chi).document()["degrees"]:
+            assert [tuple(link["clique"]) for link in row["links"]] == \
+                [s for s in keys if len(s) <= row["clique_size"]]
 
 
 # the two FP_n routes
@@ -226,7 +271,7 @@ def test_analyze_reads_fg_off_the_link_table():
 
 
 def assert_link_table_matches_unsplit_complex(g, chi):
-    h = character_complex(g, chi).homology()
+    h = {n: d for n, d in character_complex(g, chi).homology().items() if n}
     level = next((n - 1 for n in sorted(h) if h[n]), math.inf)
     rep = analyze(g, chi)
     assert {r.clique_size: r.complex_homology_dim for r in rep.degrees} == h

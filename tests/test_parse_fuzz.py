@@ -7,6 +7,7 @@ from raagfp import corpus
 from raagfp.coabelian import parse_matrix
 from raagfp.errors import SchemaError
 from raagfp.fpcheck import parse_character
+from raagfp.gog import parse_gog
 from raagfp.graph import parse_graph
 
 FUZZ = settings(max_examples=300, deadline=1000, derandomize=True,
@@ -31,6 +32,17 @@ characters = st.fixed_dictionaries({}, optional={
     "p": ints | json_values,
     "chi": st.dictionaries(names, ints | json_values, max_size=3)
     | json_values})
+# every vertex and edge carries all its fields, so ids of any JSON type
+# reach the graph-of-groups constructor
+gog_ids = names | json_values
+gog_vertices = st.fixed_dictionaries({"id": gog_ids,
+                                      "order": ints | json_values})
+gog_edges = st.fixed_dictionaries({"id": gog_ids, "d0": gog_ids,
+                                   "d1": gog_ids, "order": ints | json_values})
+gogs = st.fixed_dictionaries(
+    {"vertices": st.lists(gog_vertices | json_values, max_size=3)},
+    optional={"edges": st.lists(gog_edges | json_values, max_size=3)
+              | json_values})
 matrices = st.fixed_dictionaries({}, optional={
     "p": ints | json_values,
     "rows": st.lists(st.lists(ints | json_values, max_size=3), max_size=3)
@@ -61,3 +73,9 @@ def test_parse_character(document):
 def test_parse_matrix(document):
     graph = corpus.path(3)
     returns_or_schema_error(lambda doc: parse_matrix(doc, graph), document)
+
+
+@FUZZ
+@given(gogs | json_values)
+def test_parse_gog(document):
+    returns_or_schema_error(parse_gog, document)
