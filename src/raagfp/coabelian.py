@@ -16,7 +16,7 @@ rationals and no floating point anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import gcd
 from operator import mul
@@ -29,11 +29,18 @@ from .graph import SimplicialGraph, join_factors
 
 @dataclass(frozen=True)
 class CoabelianSpec:
-    """Prime p plus an integer matrix, columns in vertex order."""
+    """Prime p plus an integer matrix, columns in vertex order.
+
+    p, rows and vertices never change; ``_patterns`` caches the zero
+    patterns, which depend only on them, on the first
+    ``enumerate_patterns`` call.  Equality, hash and repr ignore it.
+    """
 
     p: int
     rows: tuple
     vertices: tuple
+    _patterns: tuple | None = field(default=None, init=False,
+                                    compare=False, repr=False)
 
     def __post_init__(self):
         check_prime(self.p)
@@ -181,7 +188,13 @@ def enumerate_patterns(m: CoabelianSpec) -> list:
     independent subset.  One nullspace per subset gives its closure and
     the basis of that pattern's certificate, the same for every subset
     with that closure.  Output is sorted by size then vertex order.
+
+    The patterns are computed and their certificates verified on the
+    first call for m and kept on m; every call returns a new list of
+    those patterns.
     """
+    if m._patterns is not None:
+        return list(m._patterns)
     rank = matrix_rank(m)
     if rank == 0:
         raise FiniteQuotientError(
@@ -195,7 +208,9 @@ def enumerate_patterns(m: CoabelianSpec) -> list:
             if len(closed) < n and closed not in flats:
                 flats[closed] = basis
     ordered = sorted(flats, key=lambda s: (len(s), sorted(s)))
-    return [_certify(m, cols, zs, flats[zs]) for zs in ordered]
+    patterns = tuple(_certify(m, cols, zs, flats[zs]) for zs in ordered)
+    object.__setattr__(m, "_patterns", patterns)
+    return list(patterns)
 
 
 def _certify(m: CoabelianSpec, cols, zero_idx, basis) -> ZeroPattern:
@@ -273,7 +288,11 @@ def fpn_coabelian(g: SimplicialGraph, m: CoabelianSpec, n: int
     """FP_n of the kernel: conjunction of the single-character FP_n
     verdicts over all zero patterns.  Any character with the pattern's
     zero set serves, since only zero patterns matter; the 0/1 indicator
-    of the support is used."""
+    of the support is used.
+
+    Unlike ``fg_coabelian``'s, this aggregation is the paper's theorem
+    only for a kernel that is weakly discretely embedded in G, so the
+    verdict is conditional on that hypothesis."""
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_columns(g, m)

@@ -9,9 +9,10 @@ is the one the decision procedures use: it takes a vertex set as a
 bitmask of the ambient graph (a link is the support mask ANDed with the
 adjacency masks of the clique's members) and deletes dominated vertices
 until none is left (a strong collapse, which keeps the homotopy type).
-Each core left is ranked once per graph and prime, building only the
-boundary columns that clearing keeps: a face of c is ``c ^ bit``, keyed
-by that mask, and its sign is the parity of the bit's position in c.
+Each vertex set is collapsed, and each core left is ranked, once per
+graph and prime, building only the boundary columns that clearing
+keeps: a face of c is ``c ^ bit``, keyed by that mask, and its sign is
+the parity of the bit's position in c.
 The tuple route ``link_complex`` -> ``flag_complex`` ->
 ``simplicial_chain_complex`` -> ``reduced_homology`` builds the
 uncollapsed complex with named simplices; it is the oracle of the
@@ -258,14 +259,21 @@ def mask_reduced_homology(g: SimplicialGraph, vset: int, p: int) -> dict:
     -1 .. dim of the collapsed complex, which may stop below dim of the
     original; every degree it leaves out has dimension 0.  The result
     is g's memo entry for ``(core, p)``, shared by every link with that
-    core, so it must not be modified.  The h_-1 and h_0 self-checks run
-    on every call against the emptiness and component count of vset.
+    core, so it must not be modified.  It is also kept under
+    ``(vset, p)``, so a vertex set seen before is not collapsed again (a
+    core collapses to itself, so both keys hold the same homology).  The
+    h_-1 and h_0 self-checks run on every call against the emptiness
+    and component count of vset.
     """
     adj = g.masks
-    core = strong_collapse(adj, vset)
-    h = g._homology.get((core, p))
+    memo = g._homology
+    h = memo.get((vset, p))
     if h is None:
-        h = g._homology[core, p] = _core_homology(adj, core, p)
+        core = strong_collapse(adj, vset)
+        h = memo.get((core, p))
+        if h is None:
+            h = memo[core, p] = _core_homology(adj, core, p)
+        memo[vset, p] = h
     _check_low_degrees(h, vset.bit_count(), len(components(adj, vset)))
     return h
 

@@ -93,10 +93,15 @@ def parse_gog(document) -> GraphOfFiniteGroups:
     es = document.get("edges", [])
     if not isinstance(vs, list) or not isinstance(es, list):
         raise SchemaError('"vertices" and "edges" must be arrays')
+    for kind, entries in (("vertex", vs), ("edge", es)):
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                raise SchemaError(f"graph-of-groups {kind} entry {i} is not "
+                                  f"a JSON object: {entry!r}")
     try:
         vertex_orders = [(v["id"], v["order"]) for v in vs]
         edges = [GogEdge(e["id"], e["d0"], e["d1"], e["order"]) for e in es]
-    except (TypeError, KeyError) as exc:
+    except KeyError as exc:
         raise SchemaError(f"missing field in graph-of-groups document: {exc}") \
             from None
     for name in [v for v, _ in vertex_orders] + \

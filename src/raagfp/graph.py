@@ -66,7 +66,7 @@ class SimplicialGraph:
         self.masks = tuple(masks)
         self._index = index
         self._omega = None
-        self._homology = {}             # (core mask, p) -> reduced homology
+        self._homology = {}             # (vertex set, p) -> reduced homology
 
     def __len__(self):
         return len(self.vertices)

@@ -1,16 +1,18 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
-from raagfp import corpus, fpcheck
+from raagfp import cli, coabelian, corpus, fpcheck
 from raagfp.coabelian import (CoabelianSpec, ZeroPattern, _int_echelon,
                               _nullspace_int, enumerate_patterns,
                               fg_coabelian, fpn_coabelian, is_full,
                               matrix_rank, parse_matrix, span_closure)
 from raagfp.errors import FiniteQuotientError, SchemaError
+from raagfp.graph import graph_document
 
 
 def spec_for(g, rows, p=2):
@@ -273,6 +275,72 @@ def test_enumerate_patterns_rank_zero():
     g = corpus.path(2)
     with pytest.raises(FiniteQuotientError):
         enumerate_patterns(spec_for(g, [[0, 0]]))
+
+
+def test_repeated_enumeration_returns_equal_lists():
+    rng = random.Random("memo")
+    for _ in range(20):
+        m = dependent_spec(rng, rng.randint(1, 6), rng.randint(1, 3))
+        if matrix_rank(m) == 0:
+            continue
+        first = enumerate_patterns(m)
+        second = enumerate_patterns(m)
+        assert second == first and second is not first
+        assert first == enumerate_patterns(CoabelianSpec(m.p, m.rows,
+                                                         m.vertices))
+
+
+def test_mutating_a_returned_list_leaves_the_next_result_alone():
+    rows = [[1, 0, 1], [0, 1, 1]]
+    m = spec_for(corpus.edgeless(3), rows)
+    want = enumerate_patterns(spec_for(corpus.edgeless(3), rows))
+    got = enumerate_patterns(m)
+    got.pop()
+    got.reverse()
+    got.append(ZeroPattern(("v9",), (0, 0)))
+    assert enumerate_patterns(m) == want
+
+
+def test_an_enumerated_spec_equals_and_hashes_like_a_fresh_one():
+    g = corpus.cycle(4)
+    rows = [[1, 1, 0, 0], [0, 1, 1, 1]]
+    used, fresh = spec_for(g, rows), spec_for(g, rows)
+    enumerate_patterns(used)
+    assert used == fresh and hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh)
+    assert used.document() == fresh.document()
+    assert {used: 1}[fresh] == 1
+
+
+def test_a_rank_zero_spec_raises_on_every_call():
+    m = spec_for(corpus.path(3), [[0, 0, 0], [0, 0, 0]])
+    for _ in range(3):
+        with pytest.raises(FiniteQuotientError):
+            enumerate_patterns(m)
+
+
+def test_one_coabelian_command_enumerates_the_patterns_once(
+        tmp_path, monkeypatch, capsys):
+    g = corpus.cycle(5)
+    rows = [[1, 0, 0, 1, 2], [0, 1, 0, 1, -1], [0, 0, 1, 0, 3]]
+    gp, mp = tmp_path / "g.json", tmp_path / "m.json"
+    gp.write_text(json.dumps(graph_document(g)))
+    mp.write_text(json.dumps({"p": 3, "rows": rows}))
+    closures = []
+
+    def counting(*args):
+        closures.append(args[1])
+        return real(*args)
+
+    real = coabelian._closure
+    monkeypatch.setattr(coabelian, "_closure", counting)
+    cli.main(["coabelian", str(gp), str(mp), "--max-n", "1"])
+    results = json.loads(capsys.readouterr().out)["results"]
+    # fg, fp and the fullness note each read the patterns
+    assert "fp" in results and results["fullness"]["full"]
+    rank, n = 3, len(g)
+    assert len(closures) == sum(comb(n, s) for s in range(rank))
+    assert len(set(closures)) == len(closures)
 
 
 def test_certificates_are_exact():

@@ -1,8 +1,10 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from raagfp.cli import main
 from raagfp.errors import SchemaError
 from raagfp.gog import (GogEdge, GraphOfFiniteGroups, check_bounds,
                         euler_characteristic, euler_report, free_rank,
@@ -39,6 +41,20 @@ def test_parse_roundtrip():
            "edges": [{"id": "e", "d0": "v", "d1": "w", "order": 1}]}
     x = parse_gog(doc)
     assert parse_gog(gog_document(x)) == x
+
+
+def test_entries_that_are_not_objects_are_named(tmp_path, capsys):
+    edge = {"id": "e", "d0": "v", "d1": "v", "order": 1}
+    for doc, name in (({"vertices": ["v"], "edges": []}, "vertex entry 0"),
+                      ({"vertices": [{"id": "v", "order": 2}],
+                        "edges": [edge, 7]}, "edge entry 1")):
+        with pytest.raises(SchemaError, match=f"{name} is not a JSON object"):
+            parse_gog(doc)
+        path = tmp_path / "gog.json"
+        path.write_text(json.dumps(doc))
+        assert main(["gog", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and name in err and "string indices" not in err
 
 
 # reduced form

@@ -239,7 +239,7 @@ def test_rp2_fp_level_depends_on_p():
 
 def test_warm_memo_tables_equal_fresh_graph_tables():
     rng = random.Random("memo")
-    links = entries = 0
+    links = computed = 0
     for _ in range(12):
         g = with_extras(rng, random_graph(rng, rng.randint(1, 6),
                                           rng.uniform(0.3, 0.9)))
@@ -250,17 +250,46 @@ def test_warm_memo_tables_equal_fresh_graph_tables():
             fresh = SimplicialGraph(g.vertices, g.edges)
             assert warm == link_homology_table(fresh, supp, p), (g, supp)
             links += len(warm)
-        entries += len(g._homology)
-    assert entries < links / 10         # most links were memo hits
+        # one dict per core ranked, kept under the core and under every
+        # vertex set that collapsed onto it
+        computed += len({id(h) for h in g._homology.values()})
+    assert computed < links / 10        # most links were memo hits
 
 
 def test_corrupt_memo_entry_is_caught_on_the_next_link_with_its_core():
     g = corpus.path(3)                  # v1 - v2 - v3
     h = mask_reduced_homology(g, 0b111, 2)
-    assert list(g._homology) == [(0b100, 2)]    # collapsed onto v3
+    # collapsed onto v3; kept under the core, then under the vertex set
+    assert list(g._homology) == [(0b100, 2), (0b111, 2)]
     g._homology[0b100, 2] = {**h, 0: h[0] + 1}
     with pytest.raises(InternalDefect):
         mask_reduced_homology(g, 0b110, 2)      # v2 - v3, same core
+
+
+def test_a_vertex_set_seen_before_is_not_collapsed_again(monkeypatch):
+    g = corpus.path(3)                  # v1 - v2 - v3, a cone on v2
+    collapses = []
+
+    def recording(adj, vset):
+        collapses.append(vset)
+        return strong_collapse(adj, vset)
+
+    monkeypatch.setattr(flag_homology, "strong_collapse", recording)
+    assert strong_collapse(g.masks, 0b111) == 0b100     # not its own core
+    first = mask_reduced_homology(g, 0b111, 2)
+    assert collapses == [0b111] and (0b111, 2) in g._homology
+    assert mask_reduced_homology(g, 0b111, 2) is first
+    assert collapses == [0b111]         # the second lookup hit
+    assert mask_reduced_homology(g, 0b111, 3) == first
+    assert collapses == [0b111, 0b111]  # another prime is another entry
+
+
+def test_the_low_degree_self_check_runs_on_a_memo_hit():
+    g = corpus.path(3)
+    h = mask_reduced_homology(g, 0b111, 2)
+    g._homology[0b111, 2] = {**h, -1: 1}
+    with pytest.raises(InternalDefect, match="degree -1"):
+        mask_reduced_homology(g, 0b111, 2)
 
 
 def test_clearing_builds_no_column_that_is_a_low_above(monkeypatch):
