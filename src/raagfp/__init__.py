@@ -5,12 +5,11 @@ from .coabelian import (CoabelianSpec, ZeroPattern, enumerate_patterns,
                         fg_coabelian, fpn_coabelian, is_full, parse_matrix,
                         span_closure)
 from .errors import EpimorphismError, FiniteQuotientError, SchemaError
-from .flag_homology import (ChainComplexFp, FlagComplex, flag_complex,
-                            is_k_acyclic, link_complex, reduced_homology,
+from .flag_homology import (ChainComplexFp, link_complex, reduced_homology,
                             simplicial_chain_complex)
 from .fpcheck import (Character, FpnReport, analyze, character_complex,
-                      check_surjective, decomposition_check, fp_via_complex,
-                      fp_via_links, is_fg, max_fp, parse_character, INFINITE)
+                      decomposition_check, fp_via_complex, fp_via_links,
+                      is_fg, max_fp, parse_character, INFINITE)
 from .fpmatrix import MatrixFp, rank_fp
 from .gog import (EulerReport, GraphOfFiniteGroups, check_bounds,
                   euler_characteristic, euler_report, free_rank,

@@ -138,15 +138,14 @@ def _graph_and_character(args):
 
 def cmd_fg(args) -> int:
     g, chi, inputs = _graph_and_character(args)
-    check = fpcheck.require_epimorphism(g, chi)
-    supp = check.normalized.support(g)
+    supp, t = fpcheck.require_epimorphism(g, chi)
     connected, dominant = fpcheck.connected_and_dominant(g, supp)
     fg = connected and dominant
     doc = _report("fg", inputs, {
         "support": list(g.sorted(supp)),
         "connected": connected,
         "dominant": dominant,
-        "rescaled_by_power": check.rescaled_by_power,
+        "rescaled_by_power": t,
         "fg": fg})
     _emit(doc, args.format)
     return EXIT_TRUE if fg else EXIT_FALSE

@@ -13,10 +13,13 @@ Each vertex set is collapsed, and each core left is ranked, once per
 graph and prime, building only the boundary columns that clearing
 keeps: a face of c is ``c ^ bit``, keyed by that mask, and its sign is
 the parity of the bit's position in c.
-The tuple route ``link_complex`` -> ``flag_complex`` ->
-``simplicial_chain_complex`` -> ``reduced_homology`` builds the
-uncollapsed complex with named simplices; it is the oracle of the
-``verify`` suites and the tests.
+The tuple route ``link_complex`` -> ``simplicial_chain_complex`` ->
+``reduced_homology`` builds the uncollapsed complex with named
+simplices; it is the oracle of ``fpcheck.fp_via_links``, the ``verify``
+suites and the tests.  A flag complex there is just its clique groups
+as ``graph.enumerate_cliques`` returns them: ``groups[k]`` lists the
+size-k cliques as vertex tuples, ``groups[0] == [()]``, and the list
+ends with the largest size that occurs.
 
 This module owns every chain-complex convention.  Both routes, and the
 support complex of ``fpcheck.character_complex``, are ranked by one
@@ -33,53 +36,13 @@ from .graph import (SimplicialGraph, clique_masks, components,
                     enumerate_cliques, induced_subgraph, strong_collapse)
 
 
-class FlagComplex:
-    """The simplices (nonempty cliques) of a graph, grouped by size."""
-
-    __slots__ = ("simplices",)
-
-    def __init__(self, simplices):
-        self.simplices = [tuple(group) for group in simplices]
-        while self.simplices and not self.simplices[-1]:
-            self.simplices.pop()
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.simplices
-
-    @property
-    def dim(self) -> int:
-        """Top simplex dimension; -1 for the empty complex."""
-        return len(self.simplices) - 1
-
-    def group(self, size: int):
-        """All simplices with ``size`` vertices."""
-        if 1 <= size <= len(self.simplices):
-            return self.simplices[size - 1]
-        return ()
-
-    def vertex_count(self) -> int:
-        return len(self.group(1))
-
-    def __eq__(self, other):
-        return isinstance(other, FlagComplex) and self.simplices == other.simplices
-
-    def __repr__(self):
-        counts = [len(g) for g in self.simplices]
-        return f"FlagComplex(sizes={counts})"
-
-
-def flag_complex(g: SimplicialGraph) -> FlagComplex:
-    """Complex glued from every nonempty clique of g."""
-    return FlagComplex(enumerate_cliques(g)[1:])
-
-
-def link_complex(g: SimplicialGraph, support, s) -> FlagComplex:
+def link_complex(g: SimplicialGraph, support, s) -> list:
     """Link of the clique ``s`` inside the flag complex on ``support``.
 
-    The result is the flag complex of the subgraph induced on the
-    common neighbors of s intersected with support; for s = () it is
-    the flag complex of the subgraph induced on support.
+    The result is the clique groups (``enumerate_cliques``) of the
+    subgraph induced on the common neighbors of s intersected with
+    support; for s = () it is the flag complex of the subgraph induced
+    on support.
     """
     s = tuple(s)
     if not g.is_clique(s):
@@ -90,7 +53,7 @@ def link_complex(g: SimplicialGraph, support, s) -> FlagComplex:
             raise SchemaError(f"unknown vertex: {v!r}")
     for v in s:
         cand &= g.neighbors(v)
-    return flag_complex(induced_subgraph(g, cand))
+    return enumerate_cliques(induced_subgraph(g, cand))
 
 
 class ChainComplexFp:
@@ -213,25 +176,27 @@ def _clique_complex(groups, p: int, lo: int, removable=None) -> ChainComplexFp:
     return ChainComplexFp(p, lo, lo + len(groups) - 1, dims, boundaries)
 
 
-def simplicial_chain_complex(k: FlagComplex, p: int) -> ChainComplexFp:
-    """Augmented chain complex of a flag complex: size-n cliques sit in
-    degree n-1, the empty clique in degree -1, and d_0 sends every
-    vertex to 1."""
-    return _clique_complex([[()]] + k.simplices, p, -1)
+def simplicial_chain_complex(groups, p: int) -> ChainComplexFp:
+    """Augmented chain complex of the flag complex with clique groups
+    ``groups``: size-n cliques sit in degree n-1, the empty clique in
+    degree -1, and d_0 sends every vertex to 1."""
+    return _clique_complex(groups, p, -1)
 
 
-def reduced_homology(k: FlagComplex, p: int) -> dict:
-    """Reduced homology dimensions over F_p, degrees -1 .. dim(k).
+def reduced_homology(groups, p: int) -> dict:
+    """Reduced homology dimensions over F_p of the flag complex with
+    clique groups ``groups``, degrees -1 .. len(groups) - 2.
 
     The empty complex has dimension 1 in degree -1 and nothing else.
     The two lowest degrees are checked against a count that uses no
-    rank: h_-1 is 1 exactly when k is empty, and h_0 + 1 is the number
-    of connected components of the 1-skeleton.
+    rank: h_-1 is 1 exactly when there are no vertices, and h_0 + 1 is
+    the number of connected components of the 1-skeleton.
     """
-    h = simplicial_chain_complex(k, p).homology()
-    index = {v: i for i, (v,) in enumerate(k.group(1))}
+    h = simplicial_chain_complex(groups, p).homology()
+    vertices = groups[1] if len(groups) > 1 else []
+    index = {v: i for i, (v,) in enumerate(vertices)}
     adj = [0] * len(index)
-    for a, b in k.group(2):
+    for a, b in groups[2] if len(groups) > 2 else []:
         adj[index[a]] |= 1 << index[b]
         adj[index[b]] |= 1 << index[a]
     _check_low_degrees(h, len(index),
@@ -307,15 +272,3 @@ def _core_homology(adj, vset: int, p: int) -> dict:
 
     _, h = _clearing_pass(p, -1, list(map(len, groups)), columns)
     return dict(enumerate(h, -1))
-
-
-def is_k_acyclic(k: FlagComplex, p: int, level: int) -> bool:
-    """True iff the reduced homology vanishes in degrees -1 .. level.
-
-    Level -1 therefore just asks the complex to be nonempty; the empty
-    complex has one dimension of reduced homology in degree -1.
-    """
-    if level < -1:
-        raise ValueError("level must be >= -1")
-    h = reduced_homology(k, p)
-    return all(h.get(i, 0) == 0 for i in range(-1, level + 1))

@@ -30,10 +30,11 @@ homology after a strong collapse (``flag_homology.mask_reduced_homology``),
 so a link's entry may list fewer degrees than the link has; the top
 degree of the support complex is therefore the largest clique size of
 the graph, not a link's top.  The unsplit support complex
-(``character_complex``) and the uncollapsed links (``link_complex``) are
-built only by the oracles ``fp_via_complex``, ``fp_via_links`` and
-``decomposition_check``, which the verify suites and the tests run
-against the link table.
+(``character_complex``) is built only by the oracles ``fp_via_complex``
+and ``decomposition_check``, and the uncollapsed links only by the
+oracle ``fp_via_links``, which reads ``reduced_homology`` of each
+link's clique groups (``link_complex``); the verify suites and the
+tests run these oracles against the link table.
 """
 
 from __future__ import annotations
@@ -42,11 +43,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import EpimorphismError, SchemaError
-# reduced_homology, the tuple-route oracle, is not called here; the
-# binding stays because perfbench/spans.py wraps it
-from .flag_homology import (ChainComplexFp, _clique_complex, is_k_acyclic,
-                            link_complex, mask_reduced_homology,
-                            reduced_homology)
+from .flag_homology import (ChainComplexFp, _clique_complex, link_complex,
+                            mask_reduced_homology, reduced_homology)
 from .fpmatrix import check_prime
 from .graph import (SimplicialGraph, components, enumerate_cliques,
                     induced_subgraph)
@@ -93,32 +91,6 @@ def parse_character(document) -> Character:
         raise SchemaError(str(exc)) from None
 
 
-@dataclass(frozen=True)
-class SurjectivityCheck:
-    surjective: bool            # the original character hits a p-adic unit
-    normalized: Character       # p-power rescaled character, same kernel
-    rescaled_by_power: int      # t with normalized = chi / p**t
-
-
-def check_surjective(g: SimplicialGraph, chi: Character) -> SurjectivityCheck:
-    """Detect surjectivity onto the p-adics and rescale if repairable.
-
-    If every nonzero value is divisible by p, dividing all values by the
-    minimal p-power makes the character surjective without changing its
-    kernel.  The identically zero character cannot be repaired.
-    """
-    chi.require_defined_on(g)
-    p = chi.p
-    vals = [chi.values[v] for v in g.vertices if chi.values[v] != 0]
-    if not vals:
-        return SurjectivityCheck(False, chi, 0)
-    t = min(_valuation(v, p) for v in vals)
-    if t == 0:
-        return SurjectivityCheck(True, chi, 0)
-    scaled = {v: (c // p ** t if c else 0) for v, c in chi.values.items()}
-    return SurjectivityCheck(False, Character(p, scaled), t)
-
-
 def _valuation(n: int, p: int) -> int:
     n = abs(n)
     t = 0
@@ -128,12 +100,18 @@ def _valuation(n: int, p: int) -> int:
     return t
 
 
-def require_epimorphism(g: SimplicialGraph, chi: Character) -> SurjectivityCheck:
-    """check_surjective, refusing the identically zero character."""
-    check = check_surjective(g, chi)
-    if not check.surjective and check.rescaled_by_power == 0:
+def require_epimorphism(g: SimplicialGraph, chi: Character) -> tuple:
+    """``(support, t)``: chi's support on g and the largest t with p**t
+    dividing every value.
+
+    chi / p**t hits a p-adic unit, so it is an epimorphism with the same
+    kernel and support.  The identically zero character has no such
+    rescale and raises EpimorphismError.
+    """
+    supp = chi.support(g)
+    if not supp:
         raise EpimorphismError("character is identically zero: not an epimorphism")
-    return check
+    return supp, min(_valuation(chi.values[v], chi.p) for v in supp)
 
 
 def connected_and_dominant(g: SimplicialGraph, supp) -> tuple:
@@ -152,7 +130,7 @@ def is_fg(g: SimplicialGraph, chi: Character) -> bool:
     Holds iff the support subgraph is connected and dominant (every
     outside vertex has a neighbor in the support).
     """
-    supp = require_epimorphism(g, chi).normalized.support(g)
+    supp, _ = require_epimorphism(g, chi)
     return all(connected_and_dominant(g, supp))
 
 
@@ -223,8 +201,8 @@ def fp_via_complex(g: SimplicialGraph, chi: Character, n: int) -> bool:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    check = require_epimorphism(g, chi)
-    h = character_complex(g, check.normalized).homology()
+    require_epimorphism(g, chi)
+    h = character_complex(g, chi).homology()
     return all(h.get(i, 0) == 0 for i in range(1, n + 1))
 
 
@@ -238,12 +216,12 @@ def fp_via_links(g: SimplicialGraph, chi: Character, n: int) -> bool:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    check = require_epimorphism(g, chi)
-    supp = check.normalized.support(g)
+    supp, _ = require_epimorphism(g, chi)
     for s in outside_cliques(g, supp):
-        if len(s) <= n and not is_k_acyclic(link_complex(g, supp, s), chi.p,
-                                            n - 1 - len(s)):
-            return False
+        if len(s) <= n:
+            h = reduced_homology(link_complex(g, supp, s), chi.p)
+            if any(h.get(i, 0) for i in range(-1, n - len(s))):
+                return False
     return True
 
 
@@ -291,8 +269,7 @@ def max_fp(g: SimplicialGraph, chi: Character):
     """Largest n with FP_n, as an integer, or inf when every degree
     up to the largest clique size vanishes.  A surjective character
     with non-finitely-generated kernel reports 0."""
-    check = require_epimorphism(g, chi)
-    supp = check.normalized.support(g)
+    supp, _ = require_epimorphism(g, chi)
     return _level(homology_from_links(g, link_homology_table(g, supp, chi.p)))
 
 
@@ -361,8 +338,7 @@ def analyze(g: SimplicialGraph, chi: Character, max_n: int | None = None
     max_n (default: the largest clique size of the graph)."""
     if max_n is not None and max_n < 1:
         raise ValueError("n must be >= 1")
-    check = require_epimorphism(g, chi)
-    supp = check.normalized.support(g)
+    supp, t = require_epimorphism(g, chi)
     links = link_homology_table(g, supp, chi.p)
     h = homology_from_links(g, links)
     upto = len(h) if max_n is None else max_n
@@ -385,6 +361,6 @@ def analyze(g: SimplicialGraph, chi: Character, max_n: int | None = None
     # fg is FP_1: h_1 = 0 says the S = () link is nonempty and connected
     # and every outside vertex has a nonempty link
     return FpnReport(p=chi.p, support=g.sorted(supp), fg=h[1] == 0,
-                     rescaled_by_power=check.rescaled_by_power,
+                     rescaled_by_power=t,
                      degrees=tuple(rows), max_fp=_level(h),
                      decomposition=deco)

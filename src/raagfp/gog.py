@@ -49,8 +49,8 @@ class GraphOfFiniteGroups:
         seen = set()
         norm = []
         for e in edges:
-            e = GogEdge(e.id, e.d0, e.d1, e.order) if isinstance(e, GogEdge) \
-                else GogEdge(*e)
+            if not isinstance(e, GogEdge):
+                e = GogEdge(*e)
             if e.id in seen:
                 raise SchemaError(f"duplicate edge id: {e.id!r}")
             seen.add(e.id)
@@ -119,12 +119,12 @@ def gog_document(x: GraphOfFiniteGroups) -> dict:
 
 def is_reduced(x: GraphOfFiniteGroups) -> bool:
     """No non-loop edge order equals an endpoint order (loops exempt)."""
-    return not any(_violates(x, e) for e in x.edges)
+    return not any(_violates(x.orders, e) for e in x.edges)
 
 
-def _violates(x: GraphOfFiniteGroups, e: GogEdge) -> bool:
-    return not e.is_loop and (x.orders[e.d0] == e.order
-                              or x.orders[e.d1] == e.order)
+def _violates(orders: dict, e: GogEdge) -> bool:
+    return not e.is_loop and (orders[e.d0] == e.order
+                              or orders[e.d1] == e.order)
 
 
 def reduce(x: GraphOfFiniteGroups) -> GraphOfFiniteGroups:
@@ -138,9 +138,7 @@ def reduce(x: GraphOfFiniteGroups) -> GraphOfFiniteGroups:
     orders = dict(x.orders)
     edges = list(x.edges)
     while True:
-        e = next((e for e in edges if not e.is_loop
-                  and (orders[e.d0] == e.order or orders[e.d1] == e.order)),
-                 None)
+        e = next((e for e in edges if _violates(orders, e)), None)
         if e is None:
             break
         if orders[e.d0] == e.order:

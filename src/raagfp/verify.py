@@ -13,9 +13,10 @@ import random
 from dataclasses import dataclass
 
 from . import coabelian, fpcheck, gog
-from .flag_homology import flag_complex, link_complex, simplicial_chain_complex
+from .flag_homology import link_complex, simplicial_chain_complex
 from .fpcheck import Character
-from .graph import SimplicialGraph, graph_document, induced_subgraph
+from .graph import (SimplicialGraph, enumerate_cliques, graph_document,
+                    induced_subgraph)
 
 
 @dataclass
@@ -93,7 +94,7 @@ def suite_chain_condition(seed, trials, max_vertices) -> SuiteResult:
             link = link_complex(g, supp, s)
             if simplicial_chain_complex(link, p).dd_violation() is not None:
                 bad.append(f"link of {s!r}")
-        flag = simplicial_chain_complex(flag_complex(g), p)
+        flag = simplicial_chain_complex(enumerate_cliques(g), p)
         if flag.dd_violation() is not None:
             bad.append("flag complex")
         if bad:

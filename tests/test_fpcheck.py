@@ -9,11 +9,11 @@ from raagfp import corpus
 from raagfp.errors import EpimorphismError
 from raagfp.flag_homology import link_complex, simplicial_chain_complex
 from raagfp.fpcheck import (Character, analyze, character_complex,
-                            check_surjective, decomposition_check,
-                            fp_via_complex, fp_via_links, homology_from_links,
-                            is_fg, link_homology_table, max_fp,
-                            outside_cliques, parse_character)
-from raagfp.graph import SimplicialGraph, induced_subgraph
+                            decomposition_check, fp_via_complex, fp_via_links,
+                            homology_from_links, is_fg, link_homology_table,
+                            max_fp, outside_cliques, parse_character,
+                            require_epimorphism)
+from raagfp.graph import SimplicialGraph, enumerate_cliques, induced_subgraph
 
 
 def chi_of(g, values, p=2):
@@ -28,17 +28,14 @@ def random_graph(rng, n, density=0.5):
 
 # surjectivity
 
-def test_check_surjective_rescales_p_powers():
+def test_require_epimorphism_rescales_p_powers():
     g = corpus.edgeless(2)
-    check = check_surjective(g, chi_of(g, (2, 4), p=2))
-    assert not check.surjective and check.rescaled_by_power == 1
-    assert [check.normalized.values[v] for v in g.vertices] == [1, 2]
-
-    check = check_surjective(g, chi_of(g, (1, 0), p=3))
-    assert check.surjective and check.rescaled_by_power == 0
-
-    check = check_surjective(g, chi_of(g, (0, 0)))
-    assert not check.surjective and check.rescaled_by_power == 0
+    assert require_epimorphism(g, chi_of(g, (2, 4), p=2)) == \
+        (frozenset({"v1", "v2"}), 1)
+    assert require_epimorphism(g, chi_of(g, (1, 0), p=3)) == \
+        (frozenset({"v1"}), 0)
+    with pytest.raises(EpimorphismError, match="identically zero"):
+        require_epimorphism(g, chi_of(g, (0, 0)))
 
 
 def test_parse_character():
@@ -75,8 +72,7 @@ def test_character_complex_c4():
     assert cx.homology() == {0: 0, 1: 0, 2: 1}
     # full support: the degree-2 boundary is the plain edge boundary
     simp = character_complex(c4, corpus.ones_character(c4, 2)).boundary(2)
-    from raagfp.flag_homology import flag_complex, simplicial_chain_complex
-    plain = simplicial_chain_complex(flag_complex(c4), 2).boundary(1)
+    plain = simplicial_chain_complex(enumerate_cliques(c4), 2).boundary(1)
     assert simp.entries == plain.entries
 
 
@@ -238,8 +234,8 @@ def test_complete_bipartite_obstruction_dimension():
     # degree 1, so the kernel is fg with a 4-dimensional FP_2 obstruction
     g = corpus.complete_bipartite(3, 3)
     chi = corpus.ones_character(g, 3)
-    from raagfp.flag_homology import flag_complex, reduced_homology
-    assert reduced_homology(flag_complex(g), 3) == {-1: 0, 0: 0, 1: 4}
+    from raagfp.flag_homology import reduced_homology
+    assert reduced_homology(enumerate_cliques(g), 3) == {-1: 0, 0: 0, 1: 4}
     assert is_fg(g, chi)
     assert max_fp(g, chi) == 1
     assert character_complex(g, chi).homology()[2] == 4

@@ -4,10 +4,10 @@ import pytest
 from dense import from_rows, to_dense
 
 from raagfp import corpus
-from raagfp.flag_homology import flag_complex, simplicial_chain_complex
+from raagfp.flag_homology import simplicial_chain_complex
 from raagfp.fpcheck import Character, character_complex
 from raagfp.fpmatrix import MatrixFp, check_prime, rank_fp
-from raagfp.graph import SimplicialGraph
+from raagfp.graph import SimplicialGraph, enumerate_cliques
 
 
 def dense_rank(rows, p):
@@ -87,7 +87,7 @@ def boundary_test_graphs():
 def test_rank_of_flag_boundaries_against_dense_oracle(p):
     # the matrices rank_fp sees in practice: boundary maps of flag complexes
     for g in boundary_test_graphs():
-        cx = simplicial_chain_complex(flag_complex(g), p)
+        cx = simplicial_chain_complex(enumerate_cliques(g), p)
         for m in cx.boundaries.values():
             assert rank_fp(m) == dense_rank(to_dense(m), p)
 
@@ -112,7 +112,7 @@ def test_boundary_ranks_with_clearing_against_dense_oracle(p):
     rng = random.Random(f"clearing:{p}")
     graphs = list(boundary_test_graphs()) + list(shuffled_cross_polytopes())
     for g in graphs:
-        cx = simplicial_chain_complex(flag_complex(g), p)
+        cx = simplicial_chain_complex(enumerate_cliques(g), p)
         for n in range(cx.lo, cx.hi + 2):
             assert cx.boundary_rank(n) == \
                 dense_rank(to_dense(cx.boundary(n)), p), (g, n)

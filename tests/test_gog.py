@@ -36,6 +36,13 @@ def test_validation():
         GraphOfFiniteGroups([("a", 0)], [])
 
 
+def test_edges_are_kept_or_built_from_tuples():
+    e = GogEdge("e", "a", "b", 2)
+    x = GraphOfFiniteGroups([("a", 2), ("b", 4)], [("f", "a", "b", 1), e])
+    assert x.edges[0] is e
+    assert x.edges[1] == GogEdge("f", "a", "b", 1)
+
+
 def test_parse_roundtrip():
     doc = {"vertices": [{"id": "v", "order": 2}, {"id": "w", "order": 2}],
            "edges": [{"id": "e", "d0": "v", "d1": "w", "order": 1}]}

@@ -3,8 +3,8 @@
 ``link_homology_table`` builds each link as a vertex bitmask, strong-
 collapses it and ranks the boundaries of what is left, once per core
 and prime per graph.  The tuple route (``link_complex`` ->
-``flag_complex`` -> ``reduced_homology``) builds the uncollapsed complex
-with named simplices and is the oracle here.
+``reduced_homology``) builds the uncollapsed complex with named
+simplices and is the oracle here.
 """
 
 import random
