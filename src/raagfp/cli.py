@@ -153,11 +153,10 @@ def cmd_fg(args) -> int:
 
 def cmd_fpn(args) -> int:
     g, chi, inputs = _graph_and_character(args)
-    report = fpcheck.analyze(g, chi, max_n=args.max_n)
-    doc = _report("fpn", inputs, report.document())
-    _emit(doc, args.format)
+    results = fpcheck.analyze(g, chi, max_n=args.max_n)
+    _emit(_report("fpn", inputs, results), args.format)
     wanted = args.max_n if args.max_n is not None else 1
-    ok = all(r.fp_complex for r in report.degrees[:wanted])
+    ok = all(r["fp_complex"] for r in results["degrees"][:wanted])
     return EXIT_TRUE if ok else EXIT_FALSE
 
 
@@ -202,40 +201,18 @@ def _split(items, parts):
 
 
 def cmd_coabelian(args) -> int:
+    if args.max_n is not None and args.max_n < 1:
+        raise ValueError(f"--max-n must be >= 1, got {args.max_n}")
     gdoc = _load_json(args.graph)
     mdoc = _load_json(args.matrix)
     g = parse_graph(gdoc)
     m = coabelian.parse_matrix(mdoc, g)
-    fg_report = coabelian.fg_coabelian(g, m)
-    results = {
-        "patterns": [{"zero_set": list(p.pattern.zero_set),
-                      "certificate": list(p.pattern.certificate),
-                      "connected": p.connected,
-                      "dominant": p.dominant,
-                      "fg": p.fg}
-                     for p in fg_report.per_pattern],
-        "fg": fg_report.fg,
-        "fg_witness": list(fg_report.witness.zero_set)
-                      if fg_report.witness else None,
-    }
-    verdict = fg_report.fg
+    results = coabelian.fg_coabelian(g, m)
+    verdict = results["fg"]
     if args.max_n is not None:
-        fpn_report = coabelian.fpn_coabelian(g, m, args.max_n)
-        results["fp_n"] = args.max_n
-        results["fp"] = fpn_report.fp
-        results["fp_witness"] = list(fpn_report.witness.zero_set) \
-            if fpn_report.witness else None
-        results["per_pattern"] = [
-            {"zero_set": list(p.zero_set), "report": rep.document()}
-            for p, rep in fpn_report.per_pattern]
-        verdict = verdict and fpn_report.fp
-    fullness = coabelian.is_full(g, m)
-    results["fullness"] = {
-        "full": fullness.full,
-        "factors": [{"factor": list(f.factor), "is_clique": f.is_clique,
-                     "intersects": f.intersects, "reason": f.reason}
-                    for f in fullness.factors],
-        "note": fullness.note}
+        results.update(coabelian.fpn_coabelian(g, m, args.max_n))
+        verdict = verdict and results["fp"]
+    results["fullness"] = coabelian.is_full(g, m)
     doc = _report("coabelian",
                   {"graph_sha256": _digest(gdoc), "p": m.p,
                    "matrix": [list(r) for r in m.rows]},
@@ -249,37 +226,34 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     if args.max_vertices < 1:
         raise ValueError(f"--max-vertices must be >= 1, got {args.max_vertices}")
-    results = verify.run_all(seed=args.seed, trials=args.trials,
-                             max_vertices=args.max_vertices, jobs=args.jobs)
+    suites = verify.run_all(seed=args.seed, trials=args.trials,
+                            max_vertices=args.max_vertices, jobs=args.jobs)
+    passed = all(r["passed"] for r in suites)
     doc = _report("verify",
                   {"seed": args.seed, "trials": args.trials,
                    "max_vertices": args.max_vertices},
-                  {"suites": [r.document() for r in results],
-                   "passed": all(r.passed for r in results)})
+                  {"suites": suites, "passed": passed})
     _emit(doc, args.format)
-    return EXIT_TRUE if all(r.passed for r in results) else EXIT_FALSE
+    return EXIT_TRUE if passed else EXIT_FALSE
 
 
 def cmd_gog(args) -> int:
     xdoc = _load_json(args.gog)
     x = gog.parse_gog(xdoc)
     m = args.index if args.index is not None else gog.lcm_vertex_orders(x)
-    report = gog.euler_report(x)
     bounds = gog.check_bounds(x, m)
     doc = _report("gog", {"gog_sha256": _digest(xdoc), "index": m}, {
-        "chi": str(gog.euler_characteristic(x)),
-        "lcm_orders": report.lcm_orders,
-        "ranks": report.document()["ranks"],
+        **gog.euler_report(x),
         "reduced": gog.is_reduced(x),
         "dihedral_type": gog.is_dihedral_type(x),
-        "bounds": bounds.document()})
+        "bounds": bounds})
     _emit(doc, args.format)
-    if not bounds.defect:
+    if not bounds["defect"]:
         return EXIT_TRUE
-    if bounds.rank < 2:
+    if bounds["rank"] < 2:
         # the bounds are theorems only for groups that are not virtually
         # cyclic, i.e. whose free subgroups of finite index have rank >= 2
-        print(f"error: bounds not applicable: free rank {bounds.rank} at "
+        print(f"error: bounds not applicable: free rank {bounds['rank']} at "
               f"index {m} is below 2, so the group is virtually cyclic",
               file=sys.stderr)
         return EXIT_INAPPLICABLE

@@ -241,54 +241,33 @@ def _verify_certificate(m: CoabelianSpec, cols, pattern: ZeroPattern):
             raise InternalDefect(f"certificate fails at vertex {v!r}")
 
 
-@dataclass(frozen=True)
-class PatternVerdict:
-    pattern: ZeroPattern
-    connected: bool
-    dominant: bool
-
-    @property
-    def fg(self) -> bool:
-        return self.connected and self.dominant
-
-
-@dataclass(frozen=True)
-class FgReport:
-    fg: bool
-    witness: ZeroPattern | None
-    per_pattern: tuple
-
-
-def fg_coabelian(g: SimplicialGraph, m: CoabelianSpec) -> FgReport:
+def fg_coabelian(g: SimplicialGraph, m: CoabelianSpec) -> dict:
     """Finite generation of the kernel: every zero pattern must leave a
-    connected, dominant support.  The witness is the first pattern
-    failing that test."""
+    connected, dominant support.  Returns the ``coabelian`` report's
+    ``patterns``, ``fg`` and ``fg_witness`` keys; the witness is the
+    zero set of the first pattern failing that test, or None."""
     _check_columns(g, m)
-    verdicts = []
+    rows = []
     witness = None
     for pattern in enumerate_patterns(m):
         supp = set(g.vertices).difference(pattern.zero_set)
-        verdict = PatternVerdict(pattern,
-                                 *fpcheck.connected_and_dominant(g, supp))
-        verdicts.append(verdict)
-        if witness is None and not verdict.fg:
-            witness = pattern
-    return FgReport(witness is None, witness, tuple(verdicts))
+        connected, dominant = fpcheck.connected_and_dominant(g, supp)
+        fg = connected and dominant
+        rows.append({"zero_set": list(pattern.zero_set),
+                     "certificate": list(pattern.certificate),
+                     "connected": connected, "dominant": dominant, "fg": fg})
+        if witness is None and not fg:
+            witness = list(pattern.zero_set)
+    return {"patterns": rows, "fg": witness is None, "fg_witness": witness}
 
 
-@dataclass(frozen=True)
-class FpnCoabelianReport:
-    fp: bool
-    witness: ZeroPattern | None
-    per_pattern: tuple          # (pattern, FpnReport) pairs
-
-
-def fpn_coabelian(g: SimplicialGraph, m: CoabelianSpec, n: int
-                  ) -> FpnCoabelianReport:
+def fpn_coabelian(g: SimplicialGraph, m: CoabelianSpec, n: int) -> dict:
     """FP_n of the kernel: conjunction of the single-character FP_n
     verdicts over all zero patterns.  Any character with the pattern's
     zero set serves, since only zero patterns matter; the 0/1 indicator
-    of the support is used.
+    of the support is used.  Returns the ``coabelian`` report's
+    ``fp_n``, ``fp``, ``fp_witness`` and ``per_pattern`` keys, each
+    pattern with its ``analyze`` results up to degree n.
 
     Unlike ``fg_coabelian``'s, this aggregation is the paper's theorem
     only for a kernel that is weakly discretely embedded in G, so the
@@ -296,62 +275,50 @@ def fpn_coabelian(g: SimplicialGraph, m: CoabelianSpec, n: int
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_columns(g, m)
-    reports = []
+    rows = []
     witness = None
     for pattern in enumerate_patterns(m):
         zset = set(pattern.zero_set)
         chi = fpcheck.Character(m.p, {v: 0 if v in zset else 1
                                       for v in g.vertices})
         report = fpcheck.analyze(g, chi, max_n=n)
-        reports.append((pattern, report))
-        if witness is None and not report.degrees[n - 1].fp_complex:
-            witness = pattern
-    return FpnCoabelianReport(witness is None, witness, tuple(reports))
+        rows.append({"zero_set": list(pattern.zero_set), "report": report})
+        if witness is None and not report["degrees"][n - 1]["fp_complex"]:
+            witness = list(pattern.zero_set)
+    return {"fp_n": n, "fp": witness is None, "fp_witness": witness,
+            "per_pattern": rows}
 
 
-@dataclass(frozen=True)
-class FactorVerdict:
-    factor: tuple
-    is_clique: bool
-    intersects: bool
-    reason: str
-
-
-@dataclass(frozen=True)
-class FullnessReport:
-    full: bool
-    factors: tuple
-    note: str | None            # quotient structure marker when it applies
-
-
-def is_full(g: SimplicialGraph, m: CoabelianSpec) -> FullnessReport:
-    """Whether the kernel meets every indecomposable join factor.
+def is_full(g: SimplicialGraph, m: CoabelianSpec) -> dict:
+    """Whether the kernel meets every indecomposable join factor, as
+    the ``coabelian`` report's ``fullness`` block.
 
     A factor that is not a clique always meets the kernel (its derived
     subgroup does); a clique factor on t vertices meets it iff the
     matrix restricted to those columns has rank below t.  When the
-    kernel is both full and finitely generated the report carries the
-    structural note that the quotient is finite-by-abelian.
+    kernel is both full and finitely generated the block's note is the
+    structural remark that the quotient is finite-by-abelian.
     """
     _check_columns(g, m)
-    verdicts = []
+    factors = []
     for factor in join_factors(g) if g.vertices else []:
-        clique = g.is_clique(factor)
-        if not clique:
-            verdicts.append(FactorVerdict(
-                factor, False, True,
-                "not a clique: the factor's derived subgroup lies in the kernel"))
+        if not g.is_clique(factor):
+            factors.append({
+                "factor": list(factor), "is_clique": False, "intersects": True,
+                "reason": "not a clique: the factor's derived subgroup "
+                          "lies in the kernel"})
             continue
         _, rank = _int_echelon([list(m.column(v)) for v in factor])
         hits = rank < len(factor)
-        reason = (f"clique factor: restricted column rank {rank} "
-                  f"{'<' if hits else '='} {len(factor)}")
-        verdicts.append(FactorVerdict(factor, True, hits, reason))
-    full = all(v.intersects for v in verdicts)
+        factors.append({
+            "factor": list(factor), "is_clique": True, "intersects": hits,
+            "reason": f"clique factor: restricted column rank {rank} "
+                      f"{'<' if hits else '='} {len(factor)}"})
+    full = all(f["intersects"] for f in factors)
     note = None
-    if full and matrix_rank(m) >= 1 and fg_coabelian(g, m).fg:
+    if full and matrix_rank(m) >= 1 and fg_coabelian(g, m)["fg"]:
         note = "G/N is finite-by-abelian"
-    return FullnessReport(full, tuple(verdicts), note)
+    return {"full": full, "factors": factors, "note": note}
 
 
 def _check_columns(g: SimplicialGraph, m: CoabelianSpec):

@@ -225,27 +225,15 @@ def fp_via_links(g: SimplicialGraph, chi: Character, n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class DecompositionRow:
-    degree: int
-    complex_dim: int
-    links_sum: int
-
-    @property
-    def match(self) -> bool:
-        return self.complex_dim == self.links_sum
+def _decomposition(rows) -> dict:
+    """The report's decomposition block from (degree, complex dim, link
+    sum) triples."""
+    degrees = [{"degree": n, "complex_dim": c, "links_sum": s, "match": c == s}
+               for n, c, s in rows]
+    return {"ok": all(r["match"] for r in degrees), "degrees": degrees}
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
-    rows: tuple
-
-    @property
-    def ok(self) -> bool:
-        return all(r.match for r in self.rows)
-
-
-def decomposition_check(g: SimplicialGraph, chi: Character) -> DecompositionReport:
+def decomposition_check(g: SimplicialGraph, chi: Character) -> dict:
     """Per-degree identity: support-complex homology against link sums.
 
     For each degree n from 1 to the largest clique size, the dimension
@@ -254,15 +242,15 @@ def decomposition_check(g: SimplicialGraph, chi: Character) -> DecompositionRepo
     in degree n-1-|S|.  No surjectivity is needed; this is a chain
     level identity and holds for the zero character as well.  This is
     the oracle for the link table that ``analyze`` reads: it builds the
-    unsplit support complex.
+    unsplit support complex.  Returns the report's ``{"ok", "degrees"}``
+    decomposition block.
     """
     cx = character_complex(g, chi)
     h = cx.homology()
     links = link_homology_table(g, chi.support(g), chi.p)
     sums = homology_from_links(g, links)
-    return DecompositionReport(tuple(
-        DecompositionRow(n, h.get(n, 0), sums.get(n, 0))
-        for n in range(1, cx.hi + 1)))
+    return _decomposition((n, h.get(n, 0), sums.get(n, 0))
+                          for n in range(1, cx.hi + 1))
 
 
 def max_fp(g: SimplicialGraph, chi: Character):
@@ -273,69 +261,13 @@ def max_fp(g: SimplicialGraph, chi: Character):
     return _level(homology_from_links(g, link_homology_table(g, supp, chi.p)))
 
 
-@dataclass(frozen=True)
-class DegreeRow:
-    clique_size: int            # degree in the support complex
-    simplex_dim: int            # clique_size - 1
-    fp_complex: bool
-    fp_links: bool
-    complex_homology_dim: int
-    link_dims: dict             # outside clique -> link dim, in table order
-
-    def document(self) -> dict:
-        links = [{"clique": list(s),
-                  "level": self.clique_size - 1 - len(s),
-                  "dim": d}
-                 for s, d in self.link_dims.items()]
-        return {"clique_size": self.clique_size,
-                "simplex_dim": self.simplex_dim,
-                "fp_complex": self.fp_complex,
-                "fp_links": self.fp_links,
-                "complex_homology_dim": self.complex_homology_dim,
-                "links": links}
-
-
-@dataclass(frozen=True)
-class FpnReport:
-    """Everything the analysis of one character produces."""
-
-    p: int
-    support: tuple
-    fg: bool
-    rescaled_by_power: int
-    degrees: tuple
-    max_fp: object              # int or math.inf
-    decomposition: DecompositionReport
-
-    @property
-    def routes_agree(self) -> bool:
-        return all(r.fp_complex == r.fp_links for r in self.degrees)
-
-    def document(self) -> dict:
-        return {
-            "p": self.p,
-            "support": list(self.support),
-            "rescaled_by_power": self.rescaled_by_power,
-            "fg": self.fg,
-            "degrees": [r.document() for r in self.degrees],
-            "max_fp": "inf" if self.max_fp == INFINITE else self.max_fp,
-            "routes_agree": self.routes_agree,
-            "decomposition": {
-                "ok": self.decomposition.ok,
-                "degrees": [{"degree": r.degree,
-                             "complex_dim": r.complex_dim,
-                             "links_sum": r.links_sum,
-                             "match": r.match}
-                            for r in self.decomposition.rows]},
-        }
-
-
 def analyze(g: SimplicialGraph, chi: Character, max_n: int | None = None
-            ) -> FpnReport:
-    """Full report for one character: finite generation, both FP_n
-    routes per degree, the decomposition identity and the maximal FP
-    level, all read off one link-homology table.  Degrees run from 1 to
-    max_n (default: the largest clique size of the graph)."""
+            ) -> dict:
+    """The ``fpn`` report's results for one character: finite
+    generation, both FP_n routes per degree, the decomposition identity
+    and the maximal FP level (``"inf"`` when every degree vanishes), all
+    read off one link-homology table.  Degrees run from 1 to max_n
+    (default: the largest clique size of the graph)."""
     if max_n is not None and max_n < 1:
         raise ValueError("n must be >= 1")
     supp, t = require_epimorphism(g, chi)
@@ -346,21 +278,25 @@ def analyze(g: SimplicialGraph, chi: Character, max_n: int | None = None
     rows = []
     fp_c = fp_l = True
     for n in range(1, upto + 1):
-        link_dims = {s: dims.get(n - 1 - len(s), 0)
-                     for s, dims in links.items() if len(s) <= n}
+        link_rows = [{"clique": list(s), "level": n - 1 - len(s),
+                      "dim": dims.get(n - 1 - len(s), 0)}
+                     for s, dims in links.items() if len(s) <= n]
         # FP_n needs every degree up to n: the complex column reads the
         # block sums, the link column each block's own level
         fp_c = fp_c and h.get(n, 0) == 0
-        fp_l = fp_l and not any(link_dims.values())
-        rows.append(DegreeRow(n, n - 1, fp_c, fp_l, h.get(n, 0), link_dims))
+        fp_l = fp_l and not any(r["dim"] for r in link_rows)
+        rows.append({"clique_size": n, "simplex_dim": n - 1,
+                     "fp_complex": fp_c, "fp_links": fp_l,
+                     "complex_homology_dim": h.get(n, 0),
+                     "links": link_rows})
 
-    # both sides of the identity come from the same table here; the
-    # unsplit complex is compared with it only in decomposition_check
-    deco = DecompositionReport(tuple(DecompositionRow(n, dim, dim)
-                                     for n, dim in h.items()))
+    level = _level(h)
     # fg is FP_1: h_1 = 0 says the S = () link is nonempty and connected
-    # and every outside vertex has a nonempty link
-    return FpnReport(p=chi.p, support=g.sorted(supp), fg=h[1] == 0,
-                     rescaled_by_power=t,
-                     degrees=tuple(rows), max_fp=_level(h),
-                     decomposition=deco)
+    # and every outside vertex has a nonempty link.  Both sides of the
+    # identity come from the same table here; the unsplit complex is
+    # compared with it only in decomposition_check
+    return {"p": chi.p, "support": list(g.sorted(supp)),
+            "rescaled_by_power": t, "fg": h[1] == 0, "degrees": rows,
+            "max_fp": "inf" if level == INFINITE else level,
+            "routes_agree": all(r["fp_complex"] == r["fp_links"] for r in rows),
+            "decomposition": _decomposition((n, d, d) for n, d in h.items())}

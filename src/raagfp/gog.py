@@ -194,74 +194,26 @@ def free_rank(x: GraphOfFiniteGroups, m: int) -> int:
     return int(rank)
 
 
-@dataclass(frozen=True)
-class EulerReport:
-    chi: Fraction
-    lcm_orders: int
-    table: dict                 # index m -> free rank
-
-    def document(self) -> dict:
-        return {"chi": str(self.chi), "lcm_orders": self.lcm_orders,
-                "ranks": {str(m): r for m, r in sorted(self.table.items())}}
-
-
-def euler_report(x: GraphOfFiniteGroups, multiples: int = 4) -> EulerReport:
-    chi = euler_characteristic(x)
+def euler_report(x: GraphOfFiniteGroups) -> dict:
+    """The ``gog`` report's ``chi``, ``lcm_orders`` and ``ranks`` keys:
+    chi as an exact fraction string, and the free rank at the first
+    four multiples of the vertex-order lcm, keyed by index."""
     ell = lcm_vertex_orders(x)
-    table = {ell * t: free_rank(x, ell * t) for t in range(1, multiples + 1)}
-    return EulerReport(chi, ell, table)
+    return {"chi": str(euler_characteristic(x)), "lcm_orders": ell,
+            "ranks": {str(ell * t): free_rank(x, ell * t) for t in range(1, 5)}}
 
 
-@dataclass(frozen=True)
-class EdgeBound:
-    edge: str
-    vertex_checks: tuple        # (vertex, index o_v/o_e, bound, ok)
-    quotient_index: int | None  # m / o_e, None when clause (b) skipped
-    quotient_ok: bool | None
-
-
-@dataclass(frozen=True)
-class BoundsReport:
-    rank: int
-    index: int
-    rows: tuple
-    skipped_reason: str | None  # why clause (b) was not evaluated
-
-    @property
-    def defect(self) -> bool:
-        for row in self.rows:
-            if any(not ok for *_, ok in row.vertex_checks):
-                return True
-            if row.quotient_ok is False:
-                return True
-        return False
-
-    def document(self) -> dict:
-        return {
-            "rank": self.rank,
-            "index": self.index,
-            "edges": [{
-                "edge": r.edge,
-                "vertex_index_checks": [
-                    {"vertex": v, "index": q, "bound": b, "ok": ok}
-                    for v, q, b, ok in r.vertex_checks],
-                "quotient_index": r.quotient_index,
-                "quotient_ok": r.quotient_ok,
-            } for r in self.rows],
-            "quotient_clause_skipped": self.skipped_reason,
-            "defect": self.defect,
-        }
-
-
-def check_bounds(x: GraphOfFiniteGroups, m: int) -> BoundsReport:
-    """Verify the index bounds at index m.
+def check_bounds(x: GraphOfFiniteGroups, m: int) -> dict:
+    """Verify the index bounds at index m; returns the ``gog`` report's
+    ``bounds`` block.
 
     For every edge e and incident vertex v: the inclusion index
     o_v/o_e must stay below 3*rank + 2.  When the input is reduced and
     not of dihedral type, additionally m/o_e must stay below 6*rank for
-    every edge; otherwise that clause is skipped with the reason named.
-    A violation on an instance meeting the hypotheses is a defect: the
-    inequalities are theorems there.
+    every edge; otherwise that clause is skipped with the reason named
+    and the edge's quotient fields are None.  A violation on an
+    instance meeting the hypotheses is a defect: the inequalities are
+    theorems there.
     """
     rank = free_rank(x, m)
     skipped = None
@@ -270,14 +222,21 @@ def check_bounds(x: GraphOfFiniteGroups, m: int) -> BoundsReport:
     elif not is_reduced(x):
         skipped = "not reduced"
     rows = []
+    defect = False
     for e in x.edges:
         checks = []
         for v in dict.fromkeys((e.d0, e.d1)):
             q = x.orders[v] // e.order
-            checks.append((v, q, 3 * rank + 2, q < 3 * rank + 2))
+            ok = q < 3 * rank + 2
+            checks.append({"vertex": v, "index": q, "bound": 3 * rank + 2,
+                           "ok": ok})
+            defect = defect or not ok
+        qi = quotient_ok = None
         if skipped is None:
             qi = m // e.order
-            rows.append(EdgeBound(e.id, tuple(checks), qi, qi < 6 * rank))
-        else:
-            rows.append(EdgeBound(e.id, tuple(checks), None, None))
-    return BoundsReport(rank, m, tuple(rows), skipped)
+            quotient_ok = qi < 6 * rank
+            defect = defect or not quotient_ok
+        rows.append({"edge": e.id, "vertex_index_checks": checks,
+                     "quotient_index": qi, "quotient_ok": quotient_ok})
+    return {"rank": rank, "index": m, "edges": rows,
+            "quotient_clause_skipped": skipped, "defect": defect}

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass
 
 from . import coabelian, fpcheck, gog
 from .flag_homology import link_complex, simplicial_chain_complex
@@ -19,19 +18,10 @@ from .graph import (SimplicialGraph, enumerate_cliques, graph_document,
                     induced_subgraph)
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    trials: int
-    failures: list
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-    def document(self) -> dict:
-        return {"suite": self.name, "trials": self.trials,
-                "passed": self.passed, "failures": self.failures}
+def _suite(name: str, trials: int, failures: list) -> dict:
+    """One suite's block of the ``verify`` report."""
+    return {"suite": name, "trials": trials, "passed": not failures,
+            "failures": failures}
 
 
 def random_graph(rng: random.Random, max_vertices: int, min_vertices: int = 1,
@@ -78,7 +68,7 @@ def shrink(g: SimplicialGraph, chi: Character, still_fails) -> tuple:
     return g, chi
 
 
-def suite_chain_condition(seed, trials, max_vertices) -> SuiteResult:
+def suite_chain_condition(seed, trials, max_vertices) -> dict:
     rng = random.Random(f"dd:{seed}")
     failures = []
     for _ in range(trials):
@@ -100,10 +90,10 @@ def suite_chain_condition(seed, trials, max_vertices) -> SuiteResult:
         if bad:
             failures.append({**_instance_doc(g, chi), "broken": bad})
             break
-    return SuiteResult("chain_condition", trials, failures)
+    return _suite("chain_condition", trials, failures)
 
 
-def suite_route_agreement(seed, trials, max_vertices) -> SuiteResult:
+def suite_route_agreement(seed, trials, max_vertices) -> dict:
     rng = random.Random(f"routes:{seed}")
     failures = []
     for _ in range(trials):
@@ -124,10 +114,10 @@ def suite_route_agreement(seed, trials, max_vertices) -> SuiteResult:
             g, chi = shrink(g, chi, disagrees)
             failures.append({**_instance_doc(g, chi), "degree": n})
             break
-    return SuiteResult("route_agreement", trials, failures)
+    return _suite("route_agreement", trials, failures)
 
 
-def suite_decomposition(seed, trials, max_vertices) -> SuiteResult:
+def suite_decomposition(seed, trials, max_vertices) -> dict:
     rng = random.Random(f"decomposition:{seed}")
     failures = []
     for _ in range(trials):
@@ -136,25 +126,20 @@ def suite_decomposition(seed, trials, max_vertices) -> SuiteResult:
         chi = random_character(rng, g, p, nonzero=False)
 
         def mismatch(g2, chi2):
-            return not fpcheck.decomposition_check(g2, chi2).ok
+            return not fpcheck.decomposition_check(g2, chi2)["ok"]
 
         if mismatch(g, chi):
             g, chi = shrink(g, chi, mismatch)
             rep = fpcheck.decomposition_check(g, chi)
             failures.append({**_instance_doc(g, chi),
-                             "rows": [(r.degree, r.complex_dim, r.links_sum)
-                                      for r in rep.rows]})
+                             "rows": [(r["degree"], r["complex_dim"],
+                                       r["links_sum"])
+                                      for r in rep["degrees"]]})
             break
-    return SuiteResult("decomposition", trials, failures)
+    return _suite("decomposition", trials, failures)
 
 
-def _comparable(doc: dict) -> dict:
-    doc = dict(doc)
-    doc.pop("rescaled_by_power", None)
-    return doc
-
-
-def suite_zero_pattern(seed, trials, max_vertices) -> SuiteResult:
+def suite_zero_pattern(seed, trials, max_vertices) -> dict:
     rng = random.Random(f"zero-pattern:{seed}")
     failures = []
     for _ in range(trials):
@@ -165,13 +150,13 @@ def suite_zero_pattern(seed, trials, max_vertices) -> SuiteResult:
                      else rng.choice((1, -1, p, 3 * p, -p * p, 7)))
                  for v in g.vertices}
         chi2 = Character(p, fresh)
-        a = _comparable(fpcheck.analyze(g, chi).document())
-        b = _comparable(fpcheck.analyze(g, chi2).document())
+        a, b = fpcheck.analyze(g, chi), fpcheck.analyze(g, chi2)
+        del a["rescaled_by_power"], b["rescaled_by_power"]
         if a != b:
             failures.append({**_instance_doc(g, chi),
                              "replacement": chi2.document()})
             break
-    return SuiteResult("zero_pattern_invariance", trials, failures)
+    return _suite("zero_pattern_invariance", trials, failures)
 
 
 def random_gog(rng: random.Random, max_vertices: int) -> gog.GraphOfFiniteGroups:
@@ -201,7 +186,7 @@ def _random_edge(rng, eid, a, b, orders):
     return gog.GogEdge(eid, a, b, rng.choice(divisors))
 
 
-def suite_gog_bounds(seed, trials, max_vertices=6) -> SuiteResult:
+def suite_gog_bounds(seed, trials, max_vertices=6) -> dict:
     rng = random.Random(f"gog:{seed}")
     failures = []
     for _ in range(trials):
@@ -219,15 +204,15 @@ def suite_gog_bounds(seed, trials, max_vertices=6) -> SuiteResult:
         if gog.free_rank(x, m) < 2:
             continue
         report = gog.check_bounds(x, m)
-        if report.defect:
+        if report["defect"]:
             failures.append({"gog": gog.gog_document(x), "index": m,
-                             "report": report.document()})
+                             "report": report})
             break
-    return SuiteResult("gog_bounds", trials, failures)
+    return _suite("gog_bounds", trials, failures)
 
 
 def suite_pattern_completeness(seed, trials, max_vertices=7,
-                               samples=1000) -> SuiteResult:
+                               samples=1000) -> dict:
     rng = random.Random(f"patterns:{seed}")
     failures = []
     for _ in range(trials):
@@ -254,7 +239,7 @@ def suite_pattern_completeness(seed, trials, max_vertices=7,
                 break
         if failures:
             break
-    return SuiteResult("pattern_completeness", trials, failures)
+    return _suite("pattern_completeness", trials, failures)
 
 
 SUITES = {
@@ -287,7 +272,7 @@ def pmap(fn, payloads: list, jobs):
     return [fn(p) for p in payloads]
 
 
-def _run_one(payload) -> SuiteResult:
+def _run_one(payload) -> dict:
     name, seed, trials, max_vertices = payload
     return SUITES[name](seed, trials, max_vertices)
 

@@ -146,6 +146,24 @@ def test_coabelian_command(files, capsys):
     assert code == 3
 
 
+def test_coabelian_rejects_max_n_below_one(files, capsys, monkeypatch):
+    # the argument is checked before any analysis: a rank-0 matrix
+    # exits 2 as fpn does, not 3, and no zero pattern is enumerated
+    from raagfp import coabelian
+    calls = []
+    enumerate_patterns = coabelian.enumerate_patterns
+    monkeypatch.setattr(coabelian, "enumerate_patterns",
+                        lambda m: calls.append(m) or enumerate_patterns(m))
+    gp = files("e2.json", graph_document(corpus.edgeless(2)))
+    mp = files("ident.json", {"p": 2, "rows": [[1, 0], [0, 1]]})
+    mp0 = files("zero.json", {"p": 2, "rows": [[0, 0]]})
+    for matrix in (mp0, mp):
+        for n in ("0", "-1"):
+            code, out = run(capsys, ["coabelian", gp, matrix, "--max-n", n])
+            assert code == 2 and out == ""
+    assert calls == []
+
+
 def test_coabelian_full_marker(files, capsys):
     g = corpus.cycle(4)
     gp = files("c4.json", graph_document(g))

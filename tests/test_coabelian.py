@@ -5,6 +5,7 @@ from itertools import combinations
 from math import comb, gcd
 
 import pytest
+from graphref import is_connected, is_dominant
 
 from raagfp import cli, coabelian, corpus, fpcheck
 from raagfp.coabelian import (CoabelianSpec, ZeroPattern, _int_echelon,
@@ -12,7 +13,7 @@ from raagfp.coabelian import (CoabelianSpec, ZeroPattern, _int_echelon,
                               fg_coabelian, fpn_coabelian, is_full,
                               matrix_rank, parse_matrix, span_closure)
 from raagfp.errors import FiniteQuotientError, SchemaError
-from raagfp.graph import graph_document
+from raagfp.graph import SimplicialGraph, graph_document, induced_subgraph
 
 
 def spec_for(g, rows, p=2):
@@ -379,28 +380,29 @@ def test_patterns_complete_against_sampling():
 def test_fg_coabelian_examples():
     g2 = corpus.edgeless(2)
     rep = fg_coabelian(g2, spec_for(g2, [[1, 0], [0, 1]]))
-    assert not rep.fg and rep.witness.zero_set == ()
+    assert not rep["fg"] and rep["fg_witness"] == []
 
     k2 = corpus.path(2)
-    assert fg_coabelian(k2, spec_for(k2, [[1, 1]])).fg
+    assert fg_coabelian(k2, spec_for(k2, [[1, 1]]))["fg"]
 
     k3 = corpus.complete(3)
-    assert fg_coabelian(k3, spec_for(k3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])).fg
+    assert fg_coabelian(k3, spec_for(k3, [[1, 0, 0], [0, 1, 0],
+                                          [0, 0, 1]]))["fg"]
 
 
 def test_fpn_coabelian_examples():
     g2 = corpus.edgeless(2)
     rep = fpn_coabelian(g2, spec_for(g2, [[1, 0], [0, 1]]), 1)
-    assert not rep.fp and rep.witness.zero_set == ()
+    assert not rep["fp"] and rep["fp_witness"] == []
 
     c4 = corpus.cycle(4)
     rep = fpn_coabelian(c4, spec_for(c4, [[1, 1, 1, 1]]), 2)
-    assert not rep.fp and rep.witness.zero_set == ()
-    assert len(rep.per_pattern) == 1
+    assert not rep["fp"] and rep["fp_witness"] == []
+    assert len(rep["per_pattern"]) == 1
 
     k3 = corpus.complete(3)
     rep = fpn_coabelian(k3, spec_for(k3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]), 4)
-    assert rep.fp and rep.witness is None
+    assert rep["fp"] and rep["fp_witness"] is None
 
 
 def test_k1_degenerates_to_single_character():
@@ -417,38 +419,104 @@ def test_k1_degenerates_to_single_character():
             row[0] = 1
         m = spec_for(g, [row])
         chi = fpcheck.Character(2, dict(zip(vs, row)))
-        assert fg_coabelian(g, m).fg == fpcheck.is_fg(g, chi)
+        assert fg_coabelian(g, m)["fg"] == fpcheck.is_fg(g, chi)
         for deg in (1, 2):
-            assert fpn_coabelian(g, m, deg).fp == \
+            assert fpn_coabelian(g, m, deg)["fp"] == \
                 fpcheck.fp_via_complex(g, chi, deg)
 
+
+
+def dead_zero_sets(g, p, n):
+    """Zero sets Z whose support V - Z is not finitely generated (n is
+    None) or not FP_n, decided per support with no pattern enumeration:
+    fg by the set-based connectivity and dominance reference, FP_n by
+    the unsplit support complex.  The empty support is dead."""
+    dead = set()
+    for mask in range(1 << len(g.vertices)):
+        zs = frozenset(v for i, v in enumerate(g.vertices) if mask >> i & 1)
+        supp = [v for v in g.vertices if v not in zs]
+        if not supp:
+            alive = False
+        elif n is None:
+            alive = (is_connected(induced_subgraph(g, supp))
+                     and is_dominant(g, supp))
+        else:
+            chi = fpcheck.Character(p, {v: int(v not in zs)
+                                        for v in g.vertices})
+            alive = fpcheck.fp_via_complex(g, chi, n)
+        if not alive:
+            dead.add(zs)
+    return dead
+
+
+def in_proper_flat(m, zs):
+    """Whether some nonzero rational combination of the rows vanishes on
+    the columns of zs but not on every column: rank M_Z < rank M, both
+    ranks by the rational elimination above."""
+    cols = [j for j, v in enumerate(m.vertices) if v in zs]
+    return frac_rank([[row[j] for j in cols] for row in m.rows]) < \
+        frac_rank(m.rows)
+
+
+def test_coabelian_verdicts_against_dead_zero_sets():
+    # the kernel is fg / FP_n iff no dead zero set lies in a proper flat;
+    # that reading needs the dead sets closed under supersets (a smaller
+    # support is never better), which is checked along the way
+    rng = random.Random("dead-zero-sets")
+    cases = 0
+    while cases < 180:
+        n = rng.randint(1, 6)
+        vs = [f"v{i}" for i in range(1, n + 1)]
+        g = SimplicialGraph(vs, [e for e in combinations(vs, 2)
+                                 if rng.random() < 0.5])
+        p = rng.choice((2, 3))
+        m = dependent_spec(rng, n, rng.randint(1, 3))
+        m = CoabelianSpec(p, m.rows, m.vertices)
+        if matrix_rank(m) == 0:
+            continue
+        for deg in (None, 1, 2):
+            dead = dead_zero_sets(g, p, deg)
+            for zs in dead:
+                for v in vs:
+                    assert zs | {v} in dead, (g, zs, v)
+            expected = not any(in_proper_flat(m, zs) for zs in dead)
+            if deg is None:
+                rep = fg_coabelian(g, m)
+                verdict, witness = rep["fg"], rep["fg_witness"]
+            else:
+                rep = fpn_coabelian(g, m, deg)
+                verdict, witness = rep["fp"], rep["fp_witness"]
+            assert verdict == expected, (g, m, deg)
+            assert verdict == (witness is None)
+            assert witness is None or frozenset(witness) in dead
+            cases += 1
 
 # fullness
 
 def test_is_full_k2_identity_line():
     k2 = corpus.path(2)
     rep = is_full(k2, spec_for(k2, [[1, 1]]))
-    assert not rep.full
-    assert [f.factor for f in rep.factors] == [("v1",), ("v2",)]
-    assert all(f.is_clique and not f.intersects for f in rep.factors)
+    assert not rep["full"]
+    assert [f["factor"] for f in rep["factors"]] == [["v1"], ["v2"]]
+    assert all(f["is_clique"] and not f["intersects"] for f in rep["factors"])
 
 
 def test_is_full_k2_with_zero_column():
     k2 = corpus.path(2)
     rep = is_full(k2, spec_for(k2, [[1, 0]]))
-    assert not rep.full
-    verdicts = {f.factor[0]: f.intersects for f in rep.factors}
+    assert not rep["full"]
+    verdicts = {f["factor"][0]: f["intersects"] for f in rep["factors"]}
     assert verdicts == {"v1": False, "v2": True}
 
 
 def test_is_full_p3():
     p3 = corpus.path(3)
     rep = is_full(p3, spec_for(p3, [[1, 0, 1]]))
-    assert rep.full
-    kinds = {f.factor: f.is_clique for f in rep.factors}
+    assert rep["full"]
+    kinds = {tuple(f["factor"]): f["is_clique"] for f in rep["factors"]}
     assert kinds == {("v1", "v3"): False, ("v2",): True}
     # the kernel here is not finitely generated, so no structure note
-    assert rep.note is None
+    assert rep["note"] is None
 
 
 def test_is_full_note_when_fg():
@@ -456,14 +524,14 @@ def test_is_full_note_when_fg():
     rep = is_full(k3, spec_for(k3, [[1, 1, 0]]))
     # all three singleton factors have a rank-deficient restriction only
     # where the column vanishes
-    assert not rep.full
+    assert not rep["full"]
     rep = is_full(k3, spec_for(k3, [[0, 0, 0], [0, 0, 0]]))
-    assert rep.full and rep.note is None   # rank 0: no aggregation possible
+    assert rep["full"] and rep["note"] is None   # rank 0: no aggregation possible
     # a full, finitely generated case carries the marker: both join
     # factors of the 4-cycle are non-cliques and the kernel is fg
     c4 = corpus.cycle(4)
     rep = is_full(c4, spec_for(c4, [[1, 1, 1, 1]]))
-    assert rep.full and rep.note == "G/N is finite-by-abelian"
+    assert rep["full"] and rep["note"] == "G/N is finite-by-abelian"
 
 
 def test_parse_matrix():

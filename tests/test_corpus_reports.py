@@ -6,7 +6,10 @@ Each report is one ``raagfp.cli.main`` call in this process:
 * ``coabelian --max-n 2`` per matrix file,
 * ``table --p 2`` and ``table --p 3`` per graph file,
 * ``verify --seed 0 --trials 30``,
-* ``gog`` per graph-of-groups file.
+* ``gog`` per graph-of-groups file,
+* the ``--format text`` variants of ``fpn --max-n 2``, ``coabelian
+  --max-n 2``, ``gog`` and ``verify --seed 0 --trials 30``, since the
+  text renderer walks the same documents as the JSON one.
 
 The reports are theorems about their inputs, so no change to the
 program may alter a single byte of them.  To record the references
@@ -48,7 +51,10 @@ def corpus_commands() -> list:
     out.append(["verify", "--seed", "0", "--trials", "30"])
     for x in sorted(CORPUS.glob("gog.*.json")):
         out.append(["gog", str(x)])
-    return out
+    text = [a + ["--format", "text"] for a in out
+            if a[0] in ("coabelian", "verify", "gog")
+            or a[0] == "fpn" and "--max-n" in a]
+    return out + text
 
 
 def key(argv) -> str:
@@ -69,7 +75,7 @@ def report(argv) -> list:
 def test_reference_file_covers_every_corpus_report():
     refs = json.loads(REFERENCES.read_text())
     assert sorted(refs) == sorted(key(a) for a in corpus_commands())
-    assert len(refs) == 143
+    assert len(refs) == 178
 
 
 @pytest.mark.parametrize("argv", corpus_commands(), ids=key)

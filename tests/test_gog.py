@@ -152,40 +152,42 @@ def test_free_rank_schreier_affine():
 def test_euler_report_table_integrality():
     x = single_edge(4, 2, 6)
     rep = euler_report(x)
-    assert rep.lcm_orders == 12
-    assert rep.table == {12: 2, 24: 3, 36: 4, 48: 5}
+    assert rep["lcm_orders"] == 12
+    assert rep["ranks"] == {"12": 2, "24": 3, "36": 4, "48": 5}
 
 
 # bounds
 
 def test_check_bounds_example():
     report = check_bounds(single_edge(4, 2, 6), 12)
-    assert report.rank == 2 and not report.defect
-    (row,) = report.rows
-    assert {(v, q, ok) for v, q, _, ok in row.vertex_checks} == \
+    assert report["rank"] == 2 and not report["defect"]
+    (row,) = report["edges"]
+    assert {(c["vertex"], c["index"], c["ok"])
+            for c in row["vertex_index_checks"]} == \
         {("v", 2, True), ("w", 3, True)}
-    assert row.quotient_index == 6 and row.quotient_ok
+    assert row["quotient_index"] == 6 and row["quotient_ok"]
 
 
 def test_check_bounds_skips_dihedral():
     report = check_bounds(single_edge(2, 1, 2), 2)
-    assert report.skipped_reason == "dihedral type"
-    assert all(r.quotient_ok is None for r in report.rows)
-    assert not report.defect
+    assert report["quotient_clause_skipped"] == "dihedral type"
+    assert all(r["quotient_ok"] is None for r in report["edges"])
+    assert not report["defect"]
 
 
 def test_check_bounds_skips_unreduced():
     report = check_bounds(single_edge(2, 2, 2), 2)
-    assert report.skipped_reason == "not reduced"
+    assert report["quotient_clause_skipped"] == "not reduced"
 
 
 def test_check_bounds_bouquet():
     two_loops = GraphOfFiniteGroups(
         [("v", 2)], [("e1", "v", "v", 2), ("e2", "v", "v", 2)])
     report = check_bounds(two_loops, 2)
-    assert report.rank == 2
-    assert all(r.quotient_index == 1 and r.quotient_ok for r in report.rows)
-    assert not report.defect
+    assert report["rank"] == 2
+    assert all(r["quotient_index"] == 1 and r["quotient_ok"]
+               for r in report["edges"])
+    assert not report["defect"]
 
 
 def test_bounds_hold_on_random_reduced_instances():
@@ -198,6 +200,6 @@ def test_bounds_hold_on_random_reduced_instances():
         m = lcm_vertex_orders(x) * rng.randint(1, 4)
         if free_rank(x, m) < 2:
             continue
-        assert not check_bounds(x, m).defect
+        assert not check_bounds(x, m)["defect"]
         checked += 1
     assert checked > 50
