@@ -20,10 +20,11 @@ import hashlib
 import json
 import os
 import sys
-import traceback
 from json.encoder import encode_basestring_ascii
 
-from . import __version__, coabelian, fpcheck, gog, verify
+# gog, verify and traceback are imported by the code that needs them,
+# so that fpn and coabelian calls do not pay for loading them
+from . import __version__, coabelian, fpcheck
 from .errors import (EpimorphismError, FiniteQuotientError, InternalDefect,
                      SchemaError)
 from .graph import parse_graph
@@ -58,25 +59,33 @@ def _report(command: str, inputs: dict, results: dict) -> dict:
 
 
 def _render_text(doc, indent=0) -> list:
+    """One line per scalar, nested containers indented under their key
+    or ``-``; an empty list or dict prints as ``[]`` or ``{}``."""
     lines = []
     pad = "  " * indent
     if isinstance(doc, dict):
         for key, val in doc.items():
-            if isinstance(val, (dict, list)):
+            if val and isinstance(val, (dict, list)):
                 lines.append(f"{pad}{key}:")
                 lines.extend(_render_text(val, indent + 1))
             else:
-                lines.append(f"{pad}{key}: {val}")
+                lines.append(f"{pad}{key}: {_text_scalar(val)}")
     elif isinstance(doc, list):
         for val in doc:
-            if isinstance(val, (dict, list)):
+            if val and isinstance(val, (dict, list)):
                 lines.append(f"{pad}-")
                 lines.extend(_render_text(val, indent + 1))
             else:
-                lines.append(f"{pad}- {val}")
+                lines.append(f"{pad}- {_text_scalar(val)}")
     else:
         lines.append(f"{pad}{doc}")
     return lines
+
+
+def _text_scalar(val) -> str:
+    # scalars keep their Python spelling (True, None); an empty
+    # container is spelled as in JSON
+    return json.dumps(val) if isinstance(val, (dict, list)) else str(val)
 
 
 def render_json(doc, pad: str = "") -> str:
@@ -175,6 +184,7 @@ def _table_chunk(payload) -> list:
 
 
 def cmd_table(args) -> int:
+    from . import verify
     gdoc = _load_json(args.graph)
     g = parse_graph(gdoc)
     n = len(g.vertices)
@@ -222,6 +232,7 @@ def cmd_coabelian(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     if args.max_vertices < 1:
@@ -238,6 +249,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gog(args) -> int:
+    from . import gog
     xdoc = _load_json(args.gog)
     x = gog.parse_gog(xdoc)
     m = args.index if args.index is not None else gog.lcm_vertex_orders(x)
@@ -353,6 +365,7 @@ def main(argv=None) -> int:
     except Exception as exc:    # a crash must not read as "verdict false"
         print(f"error: internal defect: {type(exc).__name__}: {exc}",
               file=sys.stderr)
+        import traceback
         traceback.print_exc()
         return EXIT_DEFECT
 

@@ -16,7 +16,6 @@ rationals and no floating point anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from math import gcd
 from operator import mul
@@ -24,29 +23,32 @@ from operator import mul
 from . import fpcheck
 from .errors import FiniteQuotientError, InternalDefect, SchemaError
 from .fpmatrix import check_prime
+from .frozen import Frozen
 from .graph import SimplicialGraph, join_factors
 
 
-@dataclass(frozen=True)
-class CoabelianSpec:
+class CoabelianSpec(Frozen):
     """Prime p plus an integer matrix, columns in vertex order.
 
-    p, rows and vertices never change; ``_patterns`` caches the zero
-    patterns, which depend only on them, on the first
+    p, rows and vertices never change: rows and vertices are kept as
+    tuples copied from the sequences given.  ``_patterns`` caches the
+    zero patterns, which depend only on them, on the first
     ``enumerate_patterns`` call.  Equality, hash and repr ignore it.
     """
 
-    p: int
-    rows: tuple
-    vertices: tuple
-    _patterns: tuple | None = field(default=None, init=False,
-                                    compare=False, repr=False)
+    __slots__ = ("p", "rows", "vertices", "_patterns")
 
-    def __post_init__(self):
-        check_prime(self.p)
-        for row in self.rows:
-            if len(row) != len(self.vertices):
+    def __init__(self, p: int, rows, vertices):
+        check_prime(p)
+        rows = tuple(tuple(row) for row in rows)
+        vertices = tuple(vertices)
+        for row in rows:
+            if len(row) != len(vertices):
                 raise SchemaError("matrix row length does not match vertex count")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "_patterns", None)
 
     def column(self, v) -> tuple:
         j = self.vertices.index(v)
@@ -73,21 +75,23 @@ def parse_matrix(document, g: SimplicialGraph) -> CoabelianSpec:
                        for r in rows)):
         raise SchemaError('"rows" must be a non-empty array of integer arrays')
     try:
-        return CoabelianSpec(p, tuple(tuple(r) for r in rows), tuple(g.vertices))
+        return CoabelianSpec(p, rows, g.vertices)
     except ValueError as exc:
         raise SchemaError(str(exc)) from None
 
 
-@dataclass(frozen=True)
-class ZeroPattern:
+class ZeroPattern(Frozen):
     """A realizable zero set with its verifying rational direction.
 
     The certificate is an integer row vector lam with
     lam . column(v) = 0 exactly for the vertices v in the zero set.
     """
 
-    zero_set: tuple
-    certificate: tuple
+    __slots__ = ("zero_set", "certificate")
+
+    def __init__(self, zero_set, certificate):
+        object.__setattr__(self, "zero_set", tuple(zero_set))
+        object.__setattr__(self, "certificate", tuple(certificate))
 
 
 def _int_echelon(rows):

@@ -40,28 +40,35 @@ tests run these oracles against the link table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import EpimorphismError, SchemaError
 from .flag_homology import (ChainComplexFp, _clique_complex, link_complex,
                             mask_reduced_homology, reduced_homology)
 from .fpmatrix import check_prime
+from .frozen import Frozen
 from .graph import (SimplicialGraph, components, enumerate_cliques,
                     induced_subgraph)
 
 INFINITE = math.inf
 
 
-@dataclass(frozen=True)
-class Character:
-    """A prime p and one integer value per vertex."""
+class Character(Frozen):
+    """A prime p and one integer value per vertex.
 
-    p: int
-    values: dict
+    ``values`` is a read-only view of a private copy of the mapping
+    given, so the caller's dict may change without changing chi.
+    """
 
-    def __post_init__(self):
-        check_prime(self.p)
-        object.__setattr__(self, "values", dict(self.values))
+    __slots__ = ("p", "values")
+
+    def __init__(self, p: int, values):
+        check_prime(p)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "values", MappingProxyType(dict(values)))
+
+    def __reduce__(self):
+        return Character, (self.p, dict(self.values))
 
     def support(self, g: SimplicialGraph) -> frozenset:
         self.require_defined_on(g)
@@ -86,7 +93,7 @@ def parse_character(document) -> Character:
     if not isinstance(chi, dict) or not all(type(v) is int for v in chi.values()):
         raise SchemaError('"chi" must map vertices to integers')
     try:
-        return Character(p, dict(chi))
+        return Character(p, chi)
     except ValueError as exc:
         raise SchemaError(str(exc)) from None
 

@@ -8,20 +8,24 @@ on the vertex and edge group orders and their divisibility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from .errors import SchemaError
+from .frozen import Frozen
 from .graph import components
 
 
-@dataclass(frozen=True)
-class GogEdge:
-    id: str
-    d0: str
-    d1: str
-    order: int
+class GogEdge(Frozen):
+    """An edge id, its two endpoint vertex ids and its group's order."""
+
+    __slots__ = ("id", "d0", "d1", "order")
+
+    def __init__(self, id: str, d0: str, d1: str, order: int):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "d0", d0)
+        object.__setattr__(self, "d1", d1)
+        object.__setattr__(self, "order", order)
 
     @property
     def is_loop(self) -> bool:
