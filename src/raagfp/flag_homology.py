@@ -30,30 +30,28 @@ complex starts at the empty clique and squares to zero in every degree.
 
 from __future__ import annotations
 
-from .errors import InternalDefect, SchemaError
+from .errors import InternalDefect
 from .fpmatrix import MatrixFp, check_prime, rank_fp
 from .graph import (SimplicialGraph, clique_masks, components,
-                    enumerate_cliques, induced_subgraph, strong_collapse)
+                    enumerate_cliques, strong_collapse)
 
 
 def link_complex(g: SimplicialGraph, support, s) -> list:
     """Link of the clique ``s`` inside the flag complex on ``support``.
 
-    The result is the clique groups (``enumerate_cliques``) of the
-    subgraph induced on the common neighbors of s intersected with
-    support; for s = () it is the flag complex of the subgraph induced
-    on support.
+    The result is the clique groups (``enumerate_cliques``) inside the
+    support mask ANDed with the adjacency masks of s's members, that is
+    the common neighbors of s in support; for s = () it is the flag
+    complex of the subgraph induced on support.  An unknown vertex
+    raises SchemaError, and an s that is not a clique ValueError.
     """
     s = tuple(s)
     if not g.is_clique(s):
         raise ValueError(f"not a clique: {s!r}")
-    cand = set(support)
-    for v in cand:
-        if v not in g:
-            raise SchemaError(f"unknown vertex: {v!r}")
+    link = g.mask(support)
     for v in s:
-        cand &= g.neighbors(v)
-    return enumerate_cliques(induced_subgraph(g, cand))
+        link &= g.masks[g.index(v)]
+    return enumerate_cliques(g, link)
 
 
 class ChainComplexFp:

@@ -47,8 +47,7 @@ from .flag_homology import (ChainComplexFp, _clique_complex, link_complex,
                             mask_reduced_homology, reduced_homology)
 from .fpmatrix import check_prime
 from .frozen import Frozen
-from .graph import (SimplicialGraph, components, enumerate_cliques,
-                    induced_subgraph)
+from .graph import SimplicialGraph, components, enumerate_cliques
 
 INFINITE = math.inf
 
@@ -155,9 +154,8 @@ def character_complex(g: SimplicialGraph, chi: Character) -> ChainComplexFp:
 def outside_cliques(g: SimplicialGraph, support) -> list:
     """Cliques of g whose members all avoid ``support``, by size, each
     size in lexicographic order of vertex positions."""
-    rest = [v for v in g.vertices if v not in support]
-    sub = induced_subgraph(g, rest)
-    return [c for group in enumerate_cliques(sub) for c in group]
+    rest = (1 << len(g)) - 1 & ~g.mask(support)
+    return [c for group in enumerate_cliques(g, rest) for c in group]
 
 
 def link_homology_table(g: SimplicialGraph, support, p: int) -> dict:

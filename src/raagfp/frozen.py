@@ -12,8 +12,8 @@ class Frozen:
     A subclass lists its fields in ``__slots__`` and sets each one once
     in ``__init__`` with ``object.__setattr__``; assigning or deleting
     an attribute afterwards raises AttributeError.  A slot whose name
-    starts with ``_`` is a cache: equality, hash, repr and pickling
-    ignore it.  Instances are equal when their classes are the same and
+    starts with ``_`` holds a cache or data derived from the fields:
+    equality, hash, repr and pickling ignore it.  Instances are equal when their classes are the same and
     their fields are equal, in the manner of a frozen dataclass, and
     pickling or copying rebuilds them through ``__init__``.
     """

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from types import MappingProxyType
 
 from .errors import SchemaError
 from .frozen import Frozen
@@ -32,10 +33,15 @@ class GogEdge(Frozen):
         return self.d0 == self.d1
 
 
-class GraphOfFiniteGroups:
+class GraphOfFiniteGroups(Frozen):
     """Finite connected multigraph with positive orders per vertex and
     edge; loops and parallel edges allowed.  Each edge order divides
     both endpoint orders (the edge group embeds in the vertex groups).
+
+    ``orders`` is a read-only view of a private copy of the vertex
+    orders and ``edges`` a tuple sorted by id, so a graph of groups
+    stays valid: assigning or deleting an attribute raises
+    AttributeError.
     """
 
     __slots__ = ("orders", "edges")
@@ -69,23 +75,23 @@ class GraphOfFiniteGroups:
                         f"edge {e.id!r} order {e.order} does not divide "
                         f"vertex {end!r} order {orders[end]}")
             norm.append(e)
-        self.orders = orders
-        self.edges = tuple(sorted(norm, key=lambda e: e.id))
+        norm.sort(key=lambda e: e.id)
         position = {v: i for i, v in enumerate(orders)}
         adj = [0] * len(orders)
-        for e in self.edges:
+        for e in norm:
             adj[position[e.d0]] |= 1 << position[e.d1]
             adj[position[e.d1]] |= 1 << position[e.d0]
         if len(components(adj, (1 << len(orders)) - 1)) != 1:
             raise SchemaError("underlying multigraph is not connected")
-
-    def __eq__(self, other):
-        return (isinstance(other, GraphOfFiniteGroups)
-                and self.orders == other.orders and self.edges == other.edges)
+        object.__setattr__(self, "orders", MappingProxyType(orders))
+        object.__setattr__(self, "edges", tuple(norm))
 
     def __repr__(self):
-        return (f"GraphOfFiniteGroups(vertices={self.orders!r}, "
+        return (f"GraphOfFiniteGroups(vertices={dict(self.orders)!r}, "
                 f"edges={[(e.id, e.d0, e.d1, e.order) for e in self.edges]!r})")
+
+    def __reduce__(self):
+        return GraphOfFiniteGroups, (tuple(self.orders.items()), self.edges)
 
 
 def parse_gog(document) -> GraphOfFiniteGroups:

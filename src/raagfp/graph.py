@@ -9,7 +9,9 @@ A graph's only adjacency is one bitmask per vertex position
 vertices in positions i and j are adjacent.  A vertex set is then an
 int (``g.mask`` builds one from names, ``g.members`` turns one back into
 a vertex tuple), the common neighbours of a clique are the AND of its
-members' masks, and every graph query reads the masks.  The mask
+members' masks, and every graph query reads the masks: the edge set is
+derived from them, and ``enumerate_cliques(g, vset)`` lists the cliques
+inside any vertex set without building its subgraph.  The mask
 functions at the end of this module (the clique DFS ``clique_masks``,
 ``clique_number``, the one connectivity routine ``components``, and
 ``strong_collapse``) work on ``(masks, vertex set)`` pairs without
@@ -19,17 +21,21 @@ building any subgraph.
 from __future__ import annotations
 
 from .errors import SchemaError
+from .frozen import Frozen
 
 
-class SimplicialGraph:
+class SimplicialGraph(Frozen):
     """Immutable finite simple graph (no loops, no multi-edges).
 
-    Vertices keep their given order; edges are stored as pairs sorted by
-    that order.  Vertices, edges and masks never change; two private
-    caches that depend only on them are filled on first use: ``_omega``,
-    the largest clique size, and ``_homology``, the memo of
-    ``flag_homology.mask_reduced_homology``.  A graph may be shared
-    between tasks.
+    Vertices keep their given order, and the adjacency masks are the
+    only record of the edges: ``edges`` is derived from them, as pairs
+    sorted by vertex order.  Assigning or deleting an attribute raises
+    AttributeError; equality and hash read ``(vertices, masks)``, and
+    pickling rebuilds a graph from its vertices and edge pairs.  Two
+    private caches that depend only on the masks are filled on first
+    use: ``_omega``, the largest clique size, and ``_homology``, the
+    memo of ``flag_homology.mask_reduced_homology``.  A graph may be
+    shared between tasks.
 
     >>> g = SimplicialGraph(["a", "b", "c"], [("b", "a"), ("b", "c")])
     >>> sorted(g.neighbors("b"))
@@ -38,7 +44,7 @@ class SimplicialGraph:
     False
     """
 
-    __slots__ = ("vertices", "edges", "masks", "_index", "_omega", "_homology")
+    __slots__ = ("vertices", "masks", "_index", "_omega", "_homology")
 
     def __init__(self, vertices, edges=()):
         vs = tuple(vertices)
@@ -48,7 +54,6 @@ class SimplicialGraph:
                 raise SchemaError(f"duplicate vertex id: {v!r}")
             index[v] = len(index)
         masks = [0] * len(vs)
-        norm = set()
         for a, b in edges:
             if a not in index:
                 raise SchemaError(f"edge endpoint is not a vertex: {a!r}")
@@ -56,17 +61,25 @@ class SimplicialGraph:
                 raise SchemaError(f"edge endpoint is not a vertex: {b!r}")
             if a == b:
                 raise SchemaError(f"self-loop at vertex: {a!r}")
-            if index[a] > index[b]:
-                a, b = b, a
             masks[index[a]] |= 1 << index[b]
             masks[index[b]] |= 1 << index[a]
-            norm.add((a, b))
-        self.vertices = vs
-        self.edges = frozenset(norm)
-        self.masks = tuple(masks)
-        self._index = index
-        self._omega = None
-        self._homology = {}             # (vertex set, p) -> reduced homology
+        object.__setattr__(self, "vertices", vs)
+        object.__setattr__(self, "masks", tuple(masks))
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_omega", None)
+        # (vertex set, p) -> reduced homology
+        object.__setattr__(self, "_homology", {})
+
+    @property
+    def edges(self) -> frozenset:
+        """The edges as pairs sorted by vertex order."""
+        return frozenset(self._pairs())
+
+    def _pairs(self) -> list:
+        """The edge pairs in lexicographic order of vertex positions."""
+        members = self.members
+        return [(v, w) for i, v in enumerate(self.vertices)
+                for w in members(self.masks[i] & ~((2 << i) - 1))]
 
     def __len__(self):
         return len(self.vertices)
@@ -120,20 +133,15 @@ class SimplicialGraph:
     def _clique_number(self) -> int:
         """Size of the largest clique, computed once: the graph is fixed."""
         if self._omega is None:
-            self._omega = clique_number(self.masks, (1 << len(self)) - 1)
+            object.__setattr__(self, "_omega",
+                               clique_number(self.masks, (1 << len(self)) - 1))
         return self._omega
 
-    def __eq__(self, other):
-        return (isinstance(other, SimplicialGraph)
-                and self.vertices == other.vertices
-                and self.edges == other.edges)
-
-    def __hash__(self):
-        return hash((self.vertices, self.edges))
-
     def __repr__(self):
-        es = sorted(self.edges, key=lambda e: (self._index[e[0]], self._index[e[1]]))
-        return f"SimplicialGraph({list(self.vertices)!r}, {es!r})"
+        return f"SimplicialGraph({list(self.vertices)!r}, {self._pairs()!r})"
+
+    def __reduce__(self):
+        return SimplicialGraph, (self.vertices, self._pairs())
 
 
 def parse_graph(document) -> SimplicialGraph:
@@ -164,8 +172,8 @@ def parse_graph(document) -> SimplicialGraph:
 
 def graph_document(g: SimplicialGraph) -> dict:
     """Inverse of parse_graph, with edges in deterministic order."""
-    es = sorted(g.edges, key=lambda e: (g.index(e[0]), g.index(e[1])))
-    return {"vertices": list(g.vertices), "edges": [list(e) for e in es]}
+    return {"vertices": list(g.vertices),
+            "edges": [list(e) for e in g._pairs()]}
 
 
 def induced_subgraph(g: SimplicialGraph, keep) -> SimplicialGraph:
@@ -199,22 +207,27 @@ def join_factors(g: SimplicialGraph) -> list:
     return [g.members(c) for c in components(complement, full)]
 
 
-def enumerate_cliques(g: SimplicialGraph) -> list:
-    """All cliques of g as vertex tuples, grouped by size.
+def enumerate_cliques(g: SimplicialGraph, vset: int | None = None) -> list:
+    """All cliques of g inside the vertex set ``vset`` (a bitmask of
+    positions; default every vertex) as vertex tuples, grouped by size.
 
     Returns a list indexed by size, ending with the largest size that
     occurs; entry k lists the size-k cliques as tuples sorted by vertex
     order, each group in lexicographic order of vertex positions.  The
-    empty clique is included at size 0.  This is ``clique_masks`` on the
-    whole vertex set, decoded by ``g.members``.
+    empty clique is included at size 0, so vset = 0 gives ``[[()]]``.
+    This is ``clique_masks`` decoded by ``g.members``, and equals the
+    cliques of the subgraph induced on vset.
 
     >>> k3 = SimplicialGraph("abc", [("a","b"),("a","c"),("b","c")])
     >>> [len(group) for group in enumerate_cliques(k3)]
     [1, 3, 3, 1]
+    >>> enumerate_cliques(k3, k3.mask("ac"))
+    [[()], [('a',), ('c',)], [('a', 'c')]]
     """
+    if vset is None:
+        vset = (1 << len(g)) - 1
     members = g.members
-    return [[members(c) for c in group]
-            for group in clique_masks(g.masks, (1 << len(g)) - 1)]
+    return [[members(c) for c in group] for group in clique_masks(g.masks, vset)]
 
 
 # Vertex sets as bitmasks.  ``adj`` is a graph's ``masks``; ``vset`` is

@@ -1,5 +1,8 @@
-"""Set-based connectivity and dominance, the reference for the mask
-routines ``graph.components`` and ``fpcheck.connected_and_dominant``."""
+"""Set-based connectivity, dominance and cliques, the reference for the
+mask routines ``graph.components``, ``fpcheck.connected_and_dominant``
+and ``graph.enumerate_cliques``."""
+
+from itertools import combinations
 
 from raagfp.errors import SchemaError
 
@@ -26,3 +29,18 @@ def is_dominant(g, sub) -> bool:
         if v not in g:
             raise SchemaError(f"unknown vertex: {v!r}")
     return all(g.neighbors(v) & sub for v in g.vertices if v not in sub)
+
+
+def cliques(g, keep) -> list:
+    """The cliques of g inside ``keep`` as one set of frozensets per
+    size, from the empty clique up to the largest size, by testing
+    every subset against neighbour sets."""
+    nbrs = {v: g.neighbors(v) for v in keep}
+    groups = []
+    for k in range(len(keep) + 1):
+        group = {frozenset(sub) for sub in combinations(keep, k)
+                 if all(b in nbrs[a] for a, b in combinations(sub, 2))}
+        if not group:           # cliques are closed under taking subsets
+            break
+        groups.append(group)
+    return groups

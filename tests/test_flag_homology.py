@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from raagfp import corpus
+from raagfp.errors import SchemaError
 from raagfp.flag_homology import (link_complex, reduced_homology,
                                   simplicial_chain_complex)
 from raagfp.graph import SimplicialGraph, enumerate_cliques
@@ -34,6 +35,10 @@ def test_link_complex_examples():
     assert lk == [[()], [("v2",)]]
     with pytest.raises(ValueError, match="not a clique"):
         link_complex(c4, c4.vertices, ("v1", "v3"))
+    with pytest.raises(SchemaError, match="'zz'"):
+        link_complex(c4, {"v1", "zz"}, ("v2",))
+    with pytest.raises(SchemaError, match="'zz'"):
+        link_complex(c4, c4.vertices, ("zz",))
 
 
 def test_simplicial_chain_complex_dims():

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -41,6 +43,26 @@ def test_edges_are_kept_or_built_from_tuples():
     x = GraphOfFiniteGroups([("a", 2), ("b", 4)], [("f", "a", "b", 1), e])
     assert x.edges[0] is e
     assert x.edges[1] == GogEdge("f", "a", "b", 1)
+
+
+def test_graphs_of_groups_are_read_only():
+    x = GraphOfFiniteGroups([("v", 4), ("w", 6)], [("e", "v", "w", 2)])
+    with pytest.raises(TypeError):
+        x.orders["v"] = 5
+    for name in ("orders", "edges", "new"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, None)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert dict(x.orders) == {"v": 4, "w": 6}
+    assert repr(x) == ("GraphOfFiniteGroups(vertices={'v': 4, 'w': 6}, "
+                       "edges=[('e', 'v', 'w', 2)])")
+    assert gog_document(x) == {
+        "vertices": [{"id": "v", "order": 4}, {"id": "w", "order": 6}],
+        "edges": [{"id": "e", "d0": "v", "d1": "w", "order": 2}]}
+    for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+        assert y == x and repr(y) == repr(x)
+    assert x != single_edge(4, 2, 6 * 5) and x != "x"
 
 
 def test_parse_roundtrip():

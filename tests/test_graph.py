@@ -1,9 +1,12 @@
+import copy
+import json
+import pickle
 import random
 from itertools import combinations
 
 import pytest
 
-from graphref import is_connected, is_dominant
+from graphref import cliques, is_connected, is_dominant
 from raagfp import corpus
 from raagfp.errors import SchemaError
 from raagfp.fpcheck import connected_and_dominant
@@ -55,6 +58,64 @@ def test_parse_c4_roundtrip():
     g = parse_graph(doc)
     assert g == c4()
     assert parse_graph(graph_document(g)) == g
+
+
+# identity and immutability
+
+def test_equal_graphs_from_duplicated_reversed_or_reordered_edges():
+    rng = random.Random("identity")
+    for _ in range(30):
+        n = rng.randint(0, 7)
+        vs = [f"v{i}" for i in range(n)]
+        edges = [e for e in combinations(vs, 2) if rng.random() < 0.5]
+        g = SimplicialGraph(vs, edges)
+        noisy = edges + [(b, a) for a, b in edges if rng.random() < 0.5] \
+            + [e for e in edges if rng.random() < 0.3]
+        rng.shuffle(noisy)
+        h = SimplicialGraph(vs, noisy)
+        assert h == g and hash(h) == hash(g) and h.edges == g.edges
+        if n > 1:
+            other = edges[:-1] if edges else [(vs[0], vs[1])]
+            assert SimplicialGraph(vs, other) != g
+            assert SimplicialGraph(vs[::-1], edges) != g
+
+
+def test_repr_and_document_bytes():
+    g = SimplicialGraph(["c", "a", "b", "d", "e"],
+                        [("b", "c"), ("a", "c"), ("d", "a"), ("b", "a"),
+                         ("c", "b"), ("e", "c")])
+    assert repr(g) == ("SimplicialGraph(['c', 'a', 'b', 'd', 'e'], "
+                       "[('c', 'a'), ('c', 'b'), ('c', 'e'), ('a', 'b'), "
+                       "('a', 'd')])")
+    assert json.dumps(graph_document(g)) == (
+        '{"vertices": ["c", "a", "b", "d", "e"], "edges": [["c", "a"], '
+        '["c", "b"], ["c", "e"], ["a", "b"], ["a", "d"]]}')
+    assert g.edges == {("c", "a"), ("c", "b"), ("c", "e"), ("a", "b"),
+                       ("a", "d")}
+
+
+def test_graphs_are_read_only():
+    g = SimplicialGraph(["a", "b"], [("a", "b")])
+    with pytest.raises(AttributeError):
+        g.vertices = ("z",)
+    with pytest.raises(AttributeError):
+        g.masks = (0, 0)
+    for name in ("vertices", "masks", "edges", "_omega", "_homology", "new"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, None)
+        with pytest.raises(AttributeError):
+            delattr(g, name)
+    assert enumerate_cliques(g) == [[()], [("a",), ("b",)], [("a", "b")]]
+    assert g.has_edge("a", "b") and g.edges == {("a", "b")}
+
+
+def test_pickle_and_copy_round_trip():
+    g = corpus.octahedron()
+    assert g._clique_number() == 3              # fill the omega cache
+    for h in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+        assert h == g and hash(h) == hash(g) and repr(h) == repr(g)
+        assert h.masks == g.masks and h.edges == g.edges
+        assert enumerate_cliques(h) == enumerate_cliques(g)
 
 
 # induced subgraphs, links
@@ -210,6 +271,26 @@ def test_enumerate_cliques_against_bruteforce():
         while len(expected) > 1 and not expected[-1]:
             expected.pop()
         assert enumerate_cliques(g) == expected
+
+
+def test_enumerate_cliques_inside_a_vertex_set():
+    rng = random.Random("clique sets")
+    for _ in range(60):
+        n = rng.randint(0, 9)
+        vs = [f"v{i}" for i in range(n)]
+        d = rng.uniform(0.2, 0.9)
+        g = SimplicialGraph(vs, [e for e in combinations(vs, 2)
+                                 if rng.random() < d])
+        full = (1 << n) - 1
+        vsets = {0, full} | {rng.randint(0, full) for _ in range(12)}
+        for vset in vsets:
+            keep = g.members(vset)
+            groups = enumerate_cliques(g, vset)
+            assert groups == enumerate_cliques(induced_subgraph(g, keep))
+            assert [set(map(frozenset, group)) for group in groups] == \
+                cliques(g, keep)
+        assert enumerate_cliques(g, 0) == [[()]]
+        assert enumerate_cliques(g, full) == enumerate_cliques(g)
 
 
 def test_enumerate_cliques_order():
