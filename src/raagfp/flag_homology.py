@@ -10,9 +10,12 @@ bitmask of the ambient graph (a link is the support mask ANDed with the
 adjacency masks of the clique's members) and deletes dominated vertices
 until none is left (a strong collapse, which keeps the homotopy type).
 Each vertex set is collapsed, and each core left is ranked, once per
-graph and prime, building only the boundary columns that clearing
-keeps: a face of c is ``c ^ bit``, keyed by that mask, and its sign is
-the parity of the bit's position in c.
+graph and prime.  A core is ranked relative to a contractible
+subcomplex, the union of the stars of a maximal clique, so only the
+cliques outside every star get a basis element, and only the boundary
+columns that clearing keeps are built: a face of c is ``c ^ bit``,
+keyed by that mask, its sign is the parity of the bit's position in c,
+and a face inside a star is left out.
 The tuple route ``link_complex`` -> ``simplicial_chain_complex`` ->
 ``reduced_homology`` builds the uncollapsed complex with named
 simplices; it is the oracle of ``fpcheck.fp_via_links``, the ``verify``
@@ -25,15 +28,17 @@ This module owns every chain-complex convention.  Both routes, and the
 support complex of ``fpcheck.character_complex``, are ranked by one
 top-down clearing pass (``_clearing_pass``), and both tuple complexes
 come from one clique-boundary builder (``_clique_complex``).  Every
-complex starts at the empty clique and squares to zero in every degree.
+tuple complex starts at the empty clique, the relative complex of a
+core at its first clique outside the stars, and each squares to zero
+in every degree.
 """
 
 from __future__ import annotations
 
 from .errors import InternalDefect
 from .fpmatrix import MatrixFp, check_prime, rank_fp
-from .graph import (SimplicialGraph, clique_masks, components,
-                    enumerate_cliques, strong_collapse)
+from .graph import (SimplicialGraph, check_vertex_set, clique_masks,
+                    components, enumerate_cliques, strong_collapse)
 
 
 def link_complex(g: SimplicialGraph, support, s) -> list:
@@ -218,20 +223,23 @@ def mask_reduced_homology(g: SimplicialGraph, vset: int, p: int) -> dict:
     """Reduced homology dimensions over F_p of the flag complex on the
     vertex set ``vset`` of g.
 
-    The complex is strong-collapsed first, so the result lists degrees
-    -1 .. dim of the collapsed complex, which may stop below dim of the
-    original; every degree it leaves out has dimension 0.  The result
-    is g's memo entry for ``(core, p)``, shared by every link with that
-    core, so it must not be modified.  It is also kept under
+    The complex is strong-collapsed first and then ranked relative to a
+    contractible subcomplex (``_core_homology``), so the result lists
+    degrees -1 .. the top degree of what is left, at least -1 and 0
+    when vset is nonempty; every degree it leaves out has dimension 0.
+    The result is g's memo entry for ``(core, p)``, shared by every link
+    with that core, so it must not be modified.  It is also kept under
     ``(vset, p)``, so a vertex set seen before is not collapsed again (a
-    core collapses to itself, so both keys hold the same homology).  The
-    h_-1 and h_0 self-checks run on every call against the emptiness
-    and component count of vset.
+    core collapses to itself, so both keys hold the same homology).  A
+    vset that is not a set of g's positions raises SchemaError on a memo
+    miss.  The h_-1 and h_0 self-checks run on every call against the
+    emptiness and component count of vset.
     """
     adj = g.masks
     memo = g._homology
     h = memo.get((vset, p))
     if h is None:
+        check_vertex_set(vset, len(adj))
         core = strong_collapse(adj, vset)
         h = memo.get((core, p))
         if h is None:
@@ -241,32 +249,79 @@ def mask_reduced_homology(g: SimplicialGraph, vset: int, p: int) -> dict:
     return h
 
 
-def _core_homology(adj, vset: int, p: int) -> dict:
-    """Reduced homology of the flag complex on vset.
+def _star_cover(adj, vset: int) -> list:
+    """The closed neighbourhoods N[v] inside vset of the members v of a
+    maximal clique T of the nonempty vset.
 
-    Degree k-1 has one basis element per size-k clique, degree -1 the
-    empty clique.  The column of c has the row ``c ^ bit`` with sign
-    (-1)**i for the bit in 0-based position i of c, so d_0 sends every
-    vertex to 1.  Columns are keyed by their clique masks, so a cleared
-    low is a clique whose column is never built.
+    T is greedy: the vertex of highest degree inside vset, ties to the
+    lowest position, among the candidates adjacent to every vertex
+    taken so far.
     """
-    groups = clique_masks(adj, vset)
+    stars = []
+    cand = vset
+    while cand:
+        best = degree = -1
+        rest = cand
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            d = (adj[bit.bit_length() - 1] & vset).bit_count()
+            if d > degree:
+                best, degree = bit, d
+        star = adj[best.bit_length() - 1] & vset
+        stars.append(star | best)
+        cand &= star
+    return stars
+
+
+def _core_homology(adj, vset: int, p: int) -> dict:
+    """Reduced homology of the flag complex K on vset, as the homology
+    of K relative to a contractible subcomplex L.
+
+    L is the union of the full subcomplexes on the sets ``_star_cover``
+    returns, the closed neighbourhoods N[v] of the members v of a
+    maximal clique T.  For any nonempty U inside T, the pieces of the
+    members of U meet in the full subcomplex on the common closed
+    neighbourhood of U, a cone on any member of U; so by the nerve
+    lemma L is homotopy equivalent to a simplex, and H~_n(K) = H_n(K, L)
+    over every field (Mrozek-Pilarczyk-Zelazna, "Homology algorithm
+    based on acyclic subspace", Comput. Math. Appl. 55, 2008).
+
+    Degree k-1 has one basis element per size-k clique inside no N[v],
+    so degree -1 has none; the result lists degrees -1 .. the top
+    relative degree, and at least -1 and 0 for a nonempty vset.  The
+    column of c has the row ``c ^ bit`` with sign (-1)**i for the bit
+    in 0-based position i of c, unless that face lies in L.  Columns are
+    keyed by their clique masks, so a cleared low is a clique whose
+    column is never built.
+    """
+    if not vset:
+        return {-1: 1}
+    stars = _star_cover(adj, vset)
+    groups = clique_masks(adj, vset, stars)
     signs = [1 if pos % 2 == 0 else p - 1 for pos in range(len(groups))]
 
     def columns(k, cleared):
         out = []
-        for c in groups[k]:
+        for c in groups[k + 1]:
             if c in cleared:
                 continue
+            in_l = 0                # bits whose removal lands in a star
+            for star in stars:
+                rest = c & ~star
+                if not rest & (rest - 1):
+                    in_l |= rest
             column = {}
             rest, pos = c, 0
             while rest:
                 bit = rest & -rest
                 rest ^= bit
-                column[c ^ bit] = signs[pos]
+                if not bit & in_l:
+                    column[c ^ bit] = signs[pos]
                 pos += 1
             out.append(column)
         return out
 
-    _, h = _clearing_pass(p, -1, list(map(len, groups)), columns)
-    return dict(enumerate(h, -1))
+    _, h = _clearing_pass(p, 0, [len(group) for group in groups[1:]] or [0],
+                          columns)
+    return {-1: 0, **dict(enumerate(h))}

@@ -26,8 +26,9 @@ degree n-1-|S|, and ``analyze`` and ``max_fp`` read both route columns,
 the decomposition block and finite generation (FP_1, h_1 = 0) off one
 link-homology table.  The table builds each link as a bitmask, the
 support mask ANDed with the adjacency masks of S, and takes its
-homology after a strong collapse (``flag_homology.mask_reduced_homology``),
-so a link's entry may list fewer degrees than the link has; the top
+homology after a strong collapse, relative to the stars of a maximal
+clique of what is left (``flag_homology.mask_reduced_homology``), so a
+link's entry may list fewer degrees than the link has; the top
 degree of the support complex is therefore the largest clique size of
 the graph, not a link's top.  The unsplit support complex
 (``character_complex``) is built only by the oracles ``fp_via_complex``

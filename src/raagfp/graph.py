@@ -13,6 +13,7 @@ members' masks, and every graph query reads the masks: the edge set is
 derived from them, and ``enumerate_cliques(g, vset)`` lists the cliques
 inside any vertex set without building its subgraph.  The mask
 functions at the end of this module (the clique DFS ``clique_masks``,
+which can also leave out the cliques inside given vertex sets,
 ``clique_number``, the one connectivity routine ``components``, and
 ``strong_collapse``) work on ``(masks, vertex set)`` pairs without
 building any subgraph.
@@ -216,7 +217,8 @@ def enumerate_cliques(g: SimplicialGraph, vset: int | None = None) -> list:
     order, each group in lexicographic order of vertex positions.  The
     empty clique is included at size 0, so vset = 0 gives ``[[()]]``.
     This is ``clique_masks`` decoded by ``g.members``, and equals the
-    cliques of the subgraph induced on vset.
+    cliques of the subgraph induced on vset.  A vset with a bit outside
+    g's positions raises SchemaError.
 
     >>> k3 = SimplicialGraph("abc", [("a","b"),("a","c"),("b","c")])
     >>> [len(group) for group in enumerate_cliques(k3)]
@@ -226,6 +228,7 @@ def enumerate_cliques(g: SimplicialGraph, vset: int | None = None) -> list:
     """
     if vset is None:
         vset = (1 << len(g)) - 1
+    check_vertex_set(vset, len(g))
     members = g.members
     return [[members(c) for c in group] for group in clique_masks(g.masks, vset)]
 
@@ -234,29 +237,65 @@ def enumerate_cliques(g: SimplicialGraph, vset: int | None = None) -> list:
 # an int whose set bits are the vertex positions in play.
 
 
-def clique_masks(adj, vset: int) -> list:
+def check_vertex_set(vset: int, n: int):
+    """Raise SchemaError unless vset is a vertex set of a graph with n
+    vertices: a non-negative int with no bit at position n or above."""
+    if vset < 0 or vset >> n:
+        raise SchemaError(f"vertex set {vset:#b} is not a set of positions "
+                          f"of a graph with {n} vertices")
+
+
+def clique_masks(adj, vset: int, avoid=()) -> list:
     """All cliques inside vset as bitmasks, grouped by size.
 
     Entry k lists the size-k cliques; entry 0 is the empty clique, and
     the list ends with the largest size that occurs.  Each group comes
     in lexicographic order of vertex positions.
-    """
-    groups = [[0]]
 
-    def extend(clique, cand, size):
+    ``avoid`` is a sequence of vertex sets, and a clique that lies inside
+    one of them is left out, the empty clique included; the list then
+    ends with the largest size left in, and is ``[[]]`` when none is.
+    The DFS cuts a branch as soon as its clique and every candidate
+    left lie inside one vertex set of ``avoid``.
+    """
+    groups = [[] if avoid else [0]]
+
+    # live: the sets of avoid that hold clique.  It only shrinks, and a
+    # clique with none is in, as is every clique that extends it.  Once
+    # the candidates left lie inside a live set, so does the rest of
+    # the branch, so the loop stops after the last candidate outside it.
+    def extend(clique, cand, size, live):
+        if live:
+            first = cand                # the outside part that empties first
+            for a in live:
+                out = cand & ~a
+                if out < first:
+                    first = out
+            if not first:
+                return
         if size == len(groups):
             groups.append([])
         group = groups[size]
         while cand:
             bit = cand & -cand
             cand ^= bit
-            group.append(clique | bit)
             below = cand & adj[bit.bit_length() - 1]
+            if live:
+                if bit > first:
+                    return
+                inside = [a for a in live if a & bit]
+                if inside:              # clique | bit is left out
+                    if below:
+                        extend(clique | bit, below, size + 1, inside)
+                    continue
+            group.append(clique | bit)
             if below:
-                extend(clique | bit, below, size + 1)
+                extend(clique | bit, below, size + 1, ())
 
     if vset:
-        extend(0, vset, 1)
+        extend(0, vset, 1, avoid)
+    while len(groups) > 1 and not groups[-1]:
+        groups.pop()
     return groups
 
 

@@ -293,6 +293,14 @@ def test_enumerate_cliques_inside_a_vertex_set():
         assert enumerate_cliques(g, full) == enumerate_cliques(g)
 
 
+def test_a_vertex_set_outside_the_graph_is_a_schema_error():
+    g = SimplicialGraph("ab")
+    for bad, shown in ((0b100, "0b100"), (-1, "-0b1")):
+        with pytest.raises(SchemaError, match=f"{shown} .* 2 vertices"):
+            enumerate_cliques(g, bad)
+    assert enumerate_cliques(g, 0b11) == [[()], [("a",), ("b",)]]
+
+
 def test_enumerate_cliques_order():
     g = corpus.complete(4)
     groups = enumerate_cliques(g)

@@ -14,7 +14,7 @@ import pytest
 
 from graphref import is_connected
 from raagfp import corpus, flag_homology, fpmatrix
-from raagfp.errors import InternalDefect
+from raagfp.errors import InternalDefect, SchemaError
 from raagfp.flag_homology import (link_complex, mask_reduced_homology,
                                   reduced_homology)
 from raagfp.fpcheck import (Character, analyze, character_complex,
@@ -198,17 +198,30 @@ RP2_TRIANGLES = ((1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
                  (2, 3, 5), (3, 4, 6), (2, 4, 5), (3, 5, 6), (2, 4, 6))
 
 
-def rp2():
-    """Flag triangulation of RP^2: the barycentric subdivision of the
-    6-vertex RP^2, whose vertices are its 31 faces and whose 90 edges
-    join a face to its proper faces.  H_1 is Z/2, so over F_2 the
-    reduced homology is 1 in degrees 1 and 2, and over an odd prime 0."""
-    faces = sorted({f for t in RP2_TRIANGLES for k in (1, 2, 3)
+def subdivision(triangles):
+    """Flag complex of the barycentric subdivision of a triangulated
+    surface: its vertices are the faces, named by their vertices and
+    ordered by size, and its edges join a face to its proper faces."""
+    faces = sorted({f for t in triangles for k in (1, 2, 3)
                     for f in combinations(t, k)}, key=lambda f: (len(f), f))
     name = {f: "f" + "".join(map(str, f)) for f in faces}
     return SimplicialGraph(name.values(),
                            [(name[a], name[b]) for a in faces for b in faces
                             if len(a) < len(b) and set(a) < set(b)])
+
+
+def rp2():
+    """Flag triangulation of RP^2: the barycentric subdivision of the
+    6-vertex RP^2, with 31 vertices and 90 edges.  H_1 is Z/2, so over
+    F_2 the reduced homology is 1 in degrees 1 and 2, and over an odd
+    prime 0."""
+    return subdivision(RP2_TRIANGLES)
+
+
+def sphere():
+    """Flag 2-sphere with 14 vertices: the barycentric subdivision of
+    the boundary of a tetrahedron."""
+    return subdivision(list(combinations((1, 2, 3, 4), 3)))
 
 
 def test_rp2_has_torsion_only_at_2():
@@ -293,8 +306,9 @@ def test_the_low_degree_self_check_runs_on_a_memo_hit():
 
 
 def test_clearing_builds_no_column_that_is_a_low_above(monkeypatch):
-    # octahedron: 8 triangles, 12 edges, 6 vertices, boundary ranks 7,
-    # 5, 1; the lows of each rank are the columns cleared one degree down
+    # the 2-sphere relative to the stars of the triangle f1 f12 f123: 4
+    # vertices, 16 edges, 13 triangles, boundary ranks 12 and 4; the
+    # lows of each rank are the columns cleared one degree down
     shapes = []
 
     def recording(m, **kw):
@@ -302,16 +316,87 @@ def test_clearing_builds_no_column_that_is_a_low_above(monkeypatch):
         return fpmatrix.rank_fp(m, **kw)
 
     monkeypatch.setattr(flag_homology, "rank_fp", recording)
-    g = corpus.octahedron()
-    assert mask_reduced_homology(g, (1 << 6) - 1, 3) == \
+    g = sphere()
+    assert mask_reduced_homology(g, (1 << 14) - 1, 3) == \
         {-1: 0, 0: 0, 1: 0, 2: 1}
-    assert shapes == [(12, 8), (6, 12 - 7), (1, 6 - 5)]
+    assert shapes == [(16, 13), (4, 16 - 12)]
 
 
 def test_too_high_rank_above_degree_0_is_a_negative_dimension(monkeypatch):
-    # one rank too many for the triangles of the octahedron leaves
-    # h_-1 and h_0 right, so only the negative degree-1 dimension shows
+    # one rank too many for the triangles of the 2-sphere leaves h_-1
+    # and h_0 right, so only the negative degree-1 dimension shows
     monkeypatch.setattr(flag_homology, "rank_fp", lambda m, **kw:
-                        fpmatrix.rank_fp(m, **kw) + (m.rows == 12))
+                        fpmatrix.rank_fp(m, **kw) + (m.rows == 16))
     with pytest.raises(InternalDefect, match="negative .* at degree 1"):
-        mask_reduced_homology(corpus.octahedron(), (1 << 6) - 1, 3)
+        mask_reduced_homology(sphere(), (1 << 14) - 1, 3)
+
+
+def test_a_vertex_set_outside_the_graph_is_a_schema_error():
+    g = SimplicialGraph("ab")
+    for bad, shown in ((0b100, "0b100"), (-1, "-0b1")):
+        with pytest.raises(SchemaError, match=f"{shown} .* 2 vertices"):
+            mask_reduced_homology(g, bad, 2)
+    assert g._homology == {}
+    assert mask_reduced_homology(g, 0b11, 2) == {-1: 0, 0: 1}
+
+
+def test_avoiding_dfs_is_the_full_dfs_filtered():
+    rng = random.Random("avoid")
+    for _ in range(60):
+        g = with_extras(rng, random_graph(rng, rng.randint(1, 9),
+                                          rng.uniform(0.2, 0.9)))
+        full = (1 << len(g)) - 1
+        vset = g.mask(v for v in g.vertices if rng.random() < 0.8)
+        avoid = tuple(rng.randint(0, full) for _ in range(rng.randint(1, 3)))
+        if rng.random() < 0.5:          # closed neighbourhoods, as ranked
+            avoid = tuple(g.masks[i] & vset | 1 << i
+                          for i in range(len(g)) if rng.random() < 0.3) \
+                or avoid
+        kept = [[c for c in group if all(c & ~a for a in avoid)]
+                for group in clique_masks(g.masks, vset)]
+        while len(kept) > 1 and not kept[-1]:
+            kept.pop()
+        assert clique_masks(g.masks, vset, avoid) == kept, (g, vset, avoid)
+
+
+def test_relative_ranks_match_the_tuple_oracle_at_benchmark_scale(
+        monkeypatch):
+    # random graphs of up to 13 vertices, cross-polytopes k = 5 and 6,
+    # and the suspension of the flag RP^2, whose reduced homology is
+    # F_2 in degrees 2 and 3 at p = 2 and nothing at an odd prime
+    ranked = []
+
+    def recording(adj, vset, avoid=()):
+        groups = clique_masks(adj, vset, avoid)
+        ranked.append((clique_masks(adj, vset), groups))
+        return groups
+
+    monkeypatch.setattr(flag_homology, "clique_masks", recording)
+    rng = random.Random("relative-oracle")
+    graphs = [random_graph(rng, rng.randint(9, 13), rng.uniform(0.3, 0.7))
+              for _ in range(10)]
+    graphs += [cross_polytope(rng, k) for k in (5, 6)]
+    suspension = corpus.join(rp2(), SimplicialGraph(["n", "s"]))
+    graphs.append(suspension)
+    for g in graphs:
+        full = (1 << len(g)) - 1
+        for vset in [full] + [g.mask(v for v in g.vertices
+                                     if rng.random() < 0.7)
+                              for _ in range(2)]:
+            for p in (2, 3, 5):
+                dims = mask_reduced_homology(g, vset, p)
+                oracle = reduced_homology(enumerate_cliques(g, vset), p)
+                assert set(dims) <= set(oracle)
+                assert {d: dims.get(d, 0) for d in oracle} == oracle, \
+                    (g, vset, p)
+    for p, torsion in ((2, 1), (3, 0), (5, 0)):
+        h = mask_reduced_homology(suspension, (1 << 33) - 1, p)
+        assert {d: h.get(d, 0) for d in range(-1, 4)} == \
+            {-1: 0, 0: 0, 1: 0, 2: torsion, 3: torsion}
+    # both ends were met: a nonempty core ranked with nothing left
+    # over, and one with relative cliques in at least two degrees
+    assert any(len(whole) > 1 and groups == [[]] for whole, groups in ranked)
+    assert any(sum(map(bool, groups)) >= 2 for _, groups in ranked)
+    relative = sum(len(c) for _, groups in ranked for c in groups)
+    absolute = sum(len(c) for whole, _ in ranked for c in whole)
+    assert 4 * relative < absolute
