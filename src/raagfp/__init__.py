@@ -12,8 +12,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "coabelian": ("CoabelianSpec", "ZeroPattern", "enumerate_patterns",
-                  "fg_coabelian", "fpn_coabelian", "is_full", "parse_matrix",
-                  "span_closure"),
+                  "fg_coabelian", "fpn_coabelian", "is_full", "parse_matrix"),
     "errors": ("EpimorphismError", "FiniteQuotientError", "SchemaError"),
     "flag_homology": ("ChainComplexFp", "link_complex", "reduced_homology",
                       "simplicial_chain_complex"),

@@ -1,8 +1,7 @@
 """Command-line front end: raagfp {fg|fpn|table|coabelian|verify|gog}.
 
 Exit codes: 0 verdict true (or clean run), 1 verdict false (or suite
-failure), 2 malformed input or bad arguments (a RAAGFP_JOBS that is not
-an integer included), 3 inapplicable analysis
+failure), 2 malformed input or bad arguments, 3 inapplicable analysis
 (zero character, rank-0 matrix, index bounds violated on a graph of
 groups whose free rank is below 2), 4 internal defect (a failed
 self-check, a violated index bound on input that meets the theorem's
@@ -18,7 +17,6 @@ import argparse
 import functools
 import hashlib
 import json
-import os
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -272,20 +270,9 @@ def cmd_gog(args) -> int:
     return EXIT_DEFECT
 
 
-def _default_jobs() -> int:
-    raw = os.environ.get("RAAGFP_JOBS", "1")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"RAAGFP_JOBS must be an integer, got {raw!r}") from None
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and reused after.
-
-    ``--jobs`` defaults to None; ``main`` fills it in from RAAGFP_JOBS,
-    which it reads on every call."""
+    """The argument parser, built on the first call and reused after."""
     top = argparse.ArgumentParser(
         prog="raagfp",
         description="Finite generation and FP_n for kernels of characters "
@@ -314,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, default=2)
     p.add_argument("--cap", type=int, default=16,
                    help="refuse graphs with more vertices than this")
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=1)
     common(p)
     p.set_defaults(run=cmd_table)
 
@@ -330,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--max-vertices", type=int, default=7, dest="max_vertices")
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=1)
     common(p)
     p.set_defaults(run=cmd_verify)
 
@@ -345,10 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        default_jobs = _default_jobs()
         args = _build_parser().parse_args(argv)
-        if hasattr(args, "jobs") and args.jobs is None:
-            args.jobs = default_jobs
         return args.run(args)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)

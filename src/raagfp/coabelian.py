@@ -168,18 +168,6 @@ def _closure(cols, subset, k):
                             if not any(_dot(b, col) for b in basis))
 
 
-def span_closure(m: CoabelianSpec, z) -> frozenset:
-    """Vertices whose column lies in the rational span of the columns
-    of z.  Idempotent, extensive and monotone (a matroid closure)."""
-    z = set(z)
-    for v in z:
-        if v not in m.vertices:
-            raise SchemaError(f"unknown vertex: {v!r}")
-    cols = [m.column(v) for v in m.vertices]
-    _, closed = _closure(cols, [m.vertices.index(v) for v in z], m.k)
-    return frozenset(m.vertices[j] for j in closed)
-
-
 def enumerate_patterns(m: CoabelianSpec) -> list:
     """All realizable zero patterns, each with a verified certificate.
 

@@ -1,9 +1,11 @@
 """Sparse matrices and exact rank computation over prime fields.
 
 A matrix is stored by column: one {row: value} dict per column, with
-values reduced mod p and zeros absent, so arithmetic is exact by
-construction.  Rank is a sparse column reduction, the one persistent
-homology uses (Edelsbrunner-Letscher-Zomorodian; Bauer's Ripser):
+values in 1..p-1 and zeros absent, so arithmetic is exact by
+construction.  ``MatrixFp(rows, cols, p)`` is the zero matrix, and
+``MatrixFp.from_columns`` takes columns already in that form.  Rank is
+a sparse column reduction, the one persistent homology uses
+(Edelsbrunner-Letscher-Zomorodian; Bauer's Ripser):
 columns are reduced left to right against a dict of pivot columns keyed
 by their largest row index (their low).  Any prime p < 2**31 works.
 ``rank_fp`` can report the lows of its pivot columns; chain complexes
@@ -41,14 +43,13 @@ class MatrixFp:
 
     ``columns[j]`` maps the row key of each nonzero entry of column j
     to its value in 1..p-1.  Row keys are any ints, ordered as ints
-    (``rows`` counts them); the constructor and ``mul`` take 0..rows-1.
-    The constructor takes ``(i, j) -> value`` entries, checks their
-    bounds and reduces them mod p.
+    (``rows`` counts them); ``mul`` takes 0..rows-1.  The constructor
+    gives the zero matrix of that shape.
     """
 
     __slots__ = ("rows", "cols", "p", "columns")
 
-    def __init__(self, rows: int, cols: int, p: int, entries=None):
+    def __init__(self, rows: int, cols: int, p: int):
         check_prime(p)
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
@@ -56,12 +57,6 @@ class MatrixFp:
         self.cols = cols
         self.p = p
         self.columns = [{} for _ in range(cols)]
-        for (i, j), v in (entries or {}).items():
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise ValueError(f"entry index out of bounds: {(i, j)}")
-            v %= p
-            if v:
-                self.columns[j][i] = v
 
     @classmethod
     def from_columns(cls, rows: int, p: int, columns: list) -> "MatrixFp":
@@ -70,12 +65,6 @@ class MatrixFp:
         m = cls.__new__(cls)
         m.rows, m.cols, m.p, m.columns = rows, len(columns), check_prime(p), columns
         return m
-
-    @property
-    def entries(self) -> dict:
-        """The nonzero entries as an ``(i, j) -> value`` dict."""
-        return {(i, j): v for j, col in enumerate(self.columns)
-                for i, v in col.items()}
 
     def is_zero(self) -> bool:
         return not any(self.columns)
@@ -102,7 +91,8 @@ class MatrixFp:
                 and self.columns == other.columns)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.p, frozenset(self.entries.items())))
+        return hash((self.rows, self.cols, self.p,
+                     tuple(frozenset(col.items()) for col in self.columns)))
 
     def __repr__(self):
         return f"MatrixFp({self.rows}x{self.cols} mod {self.p}, nnz={self.nnz()})"

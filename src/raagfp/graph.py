@@ -39,9 +39,9 @@ class SimplicialGraph(Frozen):
     shared between tasks.
 
     >>> g = SimplicialGraph(["a", "b", "c"], [("b", "a"), ("b", "c")])
-    >>> sorted(g.neighbors("b"))
-    ['a', 'c']
-    >>> g.has_edge("a", "c")
+    >>> sorted(g.edges)
+    [('a', 'b'), ('b', 'c')]
+    >>> ("a", "c") in g.edges
     False
     """
 
@@ -91,14 +91,6 @@ class SimplicialGraph(Frozen):
     def index(self, v):
         """Position of v in the fixed vertex order."""
         return self._index[v]
-
-    def neighbors(self, v) -> frozenset:
-        if v not in self._index:
-            raise SchemaError(f"unknown vertex: {v!r}")
-        return frozenset(self.members(self.masks[self._index[v]]))
-
-    def has_edge(self, a, b) -> bool:
-        return self.masks[self._index[a]] >> self._index[b] & 1 == 1
 
     def mask(self, subset) -> int:
         """The vertex set ``subset`` as a bitmask of positions."""
@@ -165,9 +157,10 @@ def parse_graph(document) -> SimplicialGraph:
     for e in edges:
         if not isinstance(e, (list, tuple)) or len(e) != 2:
             raise SchemaError(f"edge is not a pair: {e!r}")
-        if not all(isinstance(v, str) for v in e):
+        a, b = e
+        if not isinstance(a, str) or not isinstance(b, str):
             raise SchemaError(f"edge endpoints must be strings: {e!r}")
-        pairs.append((e[0], e[1]))
+        pairs.append((a, b))
     return SimplicialGraph(verts, pairs)
 
 

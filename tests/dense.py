@@ -8,13 +8,15 @@ def from_rows(dense, p: int) -> MatrixFp:
     nc = len(dense[0]) if dense else 0
     if any(len(row) != nc for row in dense):
         raise ValueError("ragged rows")
-    return MatrixFp(len(dense), nc, p, {(i, j): v for i, row in enumerate(dense)
-                                        for j, v in enumerate(row)})
+    columns = [{i: row[j] % p for i, row in enumerate(dense) if row[j] % p}
+               for j in range(nc)]
+    return MatrixFp.from_columns(len(dense), p, columns)
 
 
 def to_dense(m: MatrixFp) -> list:
     """The rows of m as lists, zeros included."""
     out = [[0] * m.cols for _ in range(m.rows)]
-    for (i, j), v in m.entries.items():
-        out[i][j] = v
+    for j, col in enumerate(m.columns):
+        for i, v in col.items():
+            out[i][j] = v
     return out

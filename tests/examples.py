@@ -1,7 +1,8 @@
-"""Named example graphs, characters and an exhaustive small-graph catalog.
+"""Named example graphs, characters and an exhaustive small-graph catalog
+for the tests.
 
-Everything here is generated deterministically in-process so the test
-suites and the CLI examples run offline.
+Everything here is generated deterministically in-process.  ``rp2()`` is
+the graph shipped as ``corpus/rp2.graph.json``.
 """
 
 from __future__ import annotations
@@ -9,8 +10,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from .fpcheck import Character
-from .graph import SimplicialGraph, components
+from raagfp.fpcheck import Character
+from raagfp.graph import SimplicialGraph, components
 
 
 def _verts(n, prefix="v"):
@@ -61,6 +62,31 @@ def join(g1: SimplicialGraph, g2: SimplicialGraph) -> SimplicialGraph:
     edges = list(g1.edges) + list(g2.edges) + \
         [(a, b) for a in g1.vertices for b in g2.vertices]
     return SimplicialGraph(tuple(g1.vertices) + tuple(g2.vertices), edges)
+
+
+# the 6-vertex triangulation of the real projective plane
+RP2_TRIANGLES = ((1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+                 (2, 3, 5), (3, 4, 6), (2, 4, 5), (3, 5, 6), (2, 4, 6))
+
+
+def subdivision(triangles):
+    """Flag complex of the barycentric subdivision of a triangulated
+    surface: its vertices are the faces, named by their vertices and
+    ordered by size, and its edges join a face to its proper faces."""
+    faces = sorted({f for t in triangles for k in (1, 2, 3)
+                    for f in combinations(t, k)}, key=lambda f: (len(f), f))
+    name = {f: "f" + "".join(map(str, f)) for f in faces}
+    return SimplicialGraph(name.values(),
+                           [(name[a], name[b]) for a in faces for b in faces
+                            if len(a) < len(b) and set(a) < set(b)])
+
+
+def rp2():
+    """Flag triangulation of RP^2: the barycentric subdivision of the
+    6-vertex RP^2, with 31 vertices and 90 edges.  H_1 is Z/2, so over
+    F_2 the reduced homology is 1 in degrees 1 and 2, and over an odd
+    prime 0."""
+    return subdivision(RP2_TRIANGLES)
 
 
 def ones_character(g: SimplicialGraph, p: int) -> Character:

@@ -1,10 +1,20 @@
-"""Set-based connectivity, dominance and cliques, the reference for the
-mask routines ``graph.components``, ``fpcheck.connected_and_dominant``
-and ``graph.enumerate_cliques``."""
+"""Set-based neighbours, connectivity, dominance and cliques, the
+reference for the mask routines ``graph.components``,
+``fpcheck.connected_and_dominant`` and ``graph.enumerate_cliques``.
+Neighbour sets are read off ``g.edges``, never off the masks."""
 
 from itertools import combinations
 
 from raagfp.errors import SchemaError
+
+
+def neighbours(g) -> dict:
+    """Each vertex's set of neighbours, from the edge pairs of g."""
+    nbrs = {v: set() for v in g.vertices}
+    for a, b in g.edges:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    return nbrs
 
 
 def is_connected(g) -> bool:
@@ -12,10 +22,11 @@ def is_connected(g) -> bool:
     neighbour sets."""
     if not g.vertices:
         return False
+    nbrs = neighbours(g)
     seen = {g.vertices[0]}
     stack = [g.vertices[0]]
     while stack:
-        for w in g.neighbors(stack.pop()):
+        for w in nbrs[stack.pop()]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
@@ -28,14 +39,15 @@ def is_dominant(g, sub) -> bool:
     for v in sub:
         if v not in g:
             raise SchemaError(f"unknown vertex: {v!r}")
-    return all(g.neighbors(v) & sub for v in g.vertices if v not in sub)
+    nbrs = neighbours(g)
+    return all(nbrs[v] & sub for v in g.vertices if v not in sub)
 
 
 def cliques(g, keep) -> list:
     """The cliques of g inside ``keep`` as one set of frozensets per
     size, from the empty clique up to the largest size, by testing
     every subset against neighbour sets."""
-    nbrs = {v: g.neighbors(v) for v in keep}
+    nbrs = neighbours(g)
     groups = []
     for k in range(len(keep) + 1):
         group = {frozenset(sub) for sub in combinations(keep, k)

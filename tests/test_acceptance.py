@@ -10,7 +10,9 @@ import random
 import time
 from itertools import combinations
 
-from raagfp import corpus, fpcheck
+import examples
+
+from raagfp import fpcheck
 from raagfp.coabelian import (CoabelianSpec, enumerate_patterns, fg_coabelian,
                               fpn_coabelian, matrix_rank)
 from raagfp.flag_homology import (link_complex, reduced_homology,
@@ -27,16 +29,16 @@ from raagfp.verify import random_character, random_gog, random_graph
 def crit1_instances():
     for n in range(4, 9):
         for p in (2, 3, 5):
-            g = corpus.cycle(n)
-            yield g, corpus.ones_character(g, p)
+            g = examples.cycle(n)
+            yield g, examples.ones_character(g, p)
 
 
 def crit2_instances():
-    for g in corpus.connected_graph_catalog(6):
+    for g in examples.connected_graph_catalog(6):
         nv = len(g.vertices)
         for mask in range(1, 1 << nv):
             supp = {v for i, v in enumerate(g.vertices) if mask >> i & 1}
-            yield g, corpus.support_character(g, supp, 2)
+            yield g, examples.support_character(g, supp, 2)
 
 
 def crit3_instances():
@@ -142,7 +144,7 @@ def test_criterion_6_coabelian_aggregation():
         assert fpn_coabelian(g, m, n)["fp"] == fp_via_complex(g, chi, n)
 
     # the identity matrix on the edgeless pair: fg fails at pattern ()
-    pair = corpus.edgeless(2)
+    pair = examples.edgeless(2)
     rep = fg_coabelian(pair, CoabelianSpec(2, ((1, 0), (0, 1)),
                                            tuple(pair.vertices)))
     assert not rep["fg"] and rep["fg_witness"] == []
@@ -204,15 +206,15 @@ def test_criterion_7_gog_suite():
 
 def test_criterion_8_topology_sanity():
     for p in (2, 3, 5):
-        h = reduced_homology(enumerate_cliques(corpus.octahedron()), p)
+        h = reduced_homology(enumerate_cliques(examples.octahedron()), p)
         assert {d: v for d, v in h.items() if v} == {2: 1}
     for n in range(1, 6):
-        h = reduced_homology(enumerate_cliques(corpus.complete(n)), 2)
+        h = reduced_homology(enumerate_cliques(examples.complete(n)), 2)
         assert not any(h.values())
     rng = random.Random("acceptance:cones")
     for _ in range(10):
         base = random_graph(rng, 6, min_vertices=0)
-        cone = corpus.join(base, SimplicialGraph(["apex"], []))
+        cone = examples.join(base, SimplicialGraph(["apex"], []))
         h = reduced_homology(enumerate_cliques(cone), 2)
         assert not any(h.values())
     print("\nACCEPTANCE 8 PASS octahedron is a 2-sphere, complete graphs and "

@@ -4,10 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import examples
 import pytest
 from dense import from_rows
 
-from raagfp import corpus
 from raagfp.cli import main
 from raagfp.graph import graph_document
 
@@ -24,7 +24,7 @@ def files(tmp_path):
 
 
 def c4_files(write):
-    g = corpus.cycle(4)
+    g = examples.cycle(4)
     gp = write("c4.json", graph_document(g))
     cp = write("ones.json", {"p": 2, "chi": {v: 1 for v in g.vertices}})
     return gp, cp
@@ -44,7 +44,7 @@ def test_fg_exit_codes(files, capsys):
     assert doc["results"]["fg"] is True
     assert doc["results"]["connected"] and doc["results"]["dominant"]
 
-    p3 = corpus.path(3)
+    p3 = examples.path(3)
     gp2 = files("p3.json", graph_document(p3))
     cp2 = files("chi101.json", {"p": 2, "chi": {"v1": 1, "v2": 0, "v3": 1}})
     code, out = run(capsys, ["fg", gp2, cp2])
@@ -113,14 +113,14 @@ def test_table_jobs_flag_is_output_stable(files, capsys):
 
 
 def test_table_cap(files, capsys):
-    g = corpus.edgeless(5)
+    g = examples.edgeless(5)
     gp = files("e5.json", graph_document(g))
     code, _ = run(capsys, ["table", gp, "--cap", "4"])
     assert code == 2
 
 
 def test_table_rows_for_isolated_pair(files, capsys):
-    g = corpus.edgeless(2)
+    g = examples.edgeless(2)
     gp = files("e2.json", graph_document(g))
     _, out = run(capsys, ["table", gp])
     rows = json.loads(out)["results"]["rows"]
@@ -128,7 +128,7 @@ def test_table_rows_for_isolated_pair(files, capsys):
 
 
 def test_coabelian_command(files, capsys):
-    g = corpus.edgeless(2)
+    g = examples.edgeless(2)
     gp = files("e2.json", graph_document(g))
     mp = files("ident.json", {"p": 2, "rows": [[1, 0], [0, 1]]})
     code, out = run(capsys, ["coabelian", gp, mp, "--max-n", "1"])
@@ -154,7 +154,7 @@ def test_coabelian_rejects_max_n_below_one(files, capsys, monkeypatch):
     enumerate_patterns = coabelian.enumerate_patterns
     monkeypatch.setattr(coabelian, "enumerate_patterns",
                         lambda m: calls.append(m) or enumerate_patterns(m))
-    gp = files("e2.json", graph_document(corpus.edgeless(2)))
+    gp = files("e2.json", graph_document(examples.edgeless(2)))
     mp = files("ident.json", {"p": 2, "rows": [[1, 0], [0, 1]]})
     mp0 = files("zero.json", {"p": 2, "rows": [[0, 0]]})
     for matrix in (mp0, mp):
@@ -165,7 +165,7 @@ def test_coabelian_rejects_max_n_below_one(files, capsys, monkeypatch):
 
 
 def test_coabelian_full_marker(files, capsys):
-    g = corpus.cycle(4)
+    g = examples.cycle(4)
     gp = files("c4.json", graph_document(g))
     mp = files("row.json", {"p": 2, "rows": [[1, 1, 1, 1]]})
     code, out = run(capsys, ["coabelian", gp, mp])
@@ -192,17 +192,6 @@ def test_verify_rejects_trials_and_max_vertices_below_one(capsys):
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == f"error: {flag} must be >= 1, got {value}\n"
-
-
-def test_malformed_jobs_environment_exits_2(files, capsys, monkeypatch):
-    # the variable is read for every command, also those without --jobs
-    gp, cp = c4_files(files)
-    monkeypatch.setenv("RAAGFP_JOBS", "abc")
-    for argv in (["fg", gp, cp], ["verify", "--trials", "1"]):
-        code = main(argv)
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert captured.err.startswith("error: RAAGFP_JOBS must be an integer")
 
 
 def test_verify_jobs_do_not_change_the_report(capsys):
@@ -250,16 +239,15 @@ def test_pool_never_exceeds_the_tasks_or_the_cpus(pool_sizes):
 
 
 def test_huge_jobs_split_table_and_verify_by_the_pool_size(
-        files, capsys, monkeypatch, pool_sizes):
+        files, capsys, pool_sizes):
     gp, _ = c4_files(files)
     serial = run(capsys, ["table", gp, "--jobs", "1"])
     assert run(capsys, ["table", gp, "--jobs", "4000"]) == serial
-    monkeypatch.setenv("RAAGFP_JOBS", "4000")
-    assert run(capsys, ["table", gp]) == serial
     argv = ["verify", "--trials", "1", "--max-vertices", "4"]
-    assert run(capsys, argv) == run(capsys, argv + ["--jobs", "1"])
+    assert run(capsys, argv + ["--jobs", "4000"]) == \
+        run(capsys, argv + ["--jobs", "1"])
     # 15 table rows and 6 verify suites, 3 CPUs
-    assert pool_sizes == [(3, 3), (3, 3), (3, 6)]
+    assert pool_sizes == [(3, 3), (3, 6)]
 
 
 def test_verify_negative_control():
@@ -316,7 +304,7 @@ def test_gog_finite_group_is_outside_the_theorem(files, capsys):
 
 
 def test_json_booleans_are_not_integers(files, capsys):
-    g = corpus.edgeless(2)
+    g = examples.edgeless(2)
     gp = files("e2.json", graph_document(g))
     cp = files("boolchi.json", {"p": 2, "chi": {"v1": True, "v2": False}})
     assert run(capsys, ["fg", gp, cp])[0] == 2
@@ -346,7 +334,7 @@ def test_gog_ids_that_are_not_strings_are_schema_errors(files, capsys):
 
 
 def test_character_keys_outside_the_graph_are_rejected(files, capsys):
-    gp = files("p3.json", graph_document(corpus.path(3)))
+    gp = files("p3.json", graph_document(examples.path(3)))
     cp = files("extra.json", {"p": 2, "chi": {"v1": 1, "v2": 1, "v3": 1,
                                               "zz": 5}})
     for command in ("fg", "fpn"):

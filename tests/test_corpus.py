@@ -1,7 +1,8 @@
 import json
 from pathlib import Path
 
-from raagfp import corpus
+import examples
+
 from raagfp.coabelian import parse_matrix
 from raagfp.fpcheck import parse_character
 from raagfp.gog import parse_gog
@@ -30,13 +31,15 @@ def test_shipped_corpus_parses():
 
 def test_builders_match_shipped_files():
     c4 = json.loads((CORPUS / "cycle4.graph.json").read_text())
-    assert parse_graph(c4) == corpus.cycle(4)
+    assert parse_graph(c4) == examples.cycle(4)
     octa = json.loads((CORPUS / "octahedron.graph.json").read_text())
-    assert parse_graph(octa) == corpus.octahedron()
+    assert parse_graph(octa) == examples.octahedron()
+    rp2 = json.loads((CORPUS / "rp2.graph.json").read_text())
+    assert parse_graph(rp2) == examples.rp2()
 
 
 def test_catalog_matches_classical_counts():
     from collections import Counter
     counts = Counter(len(g.vertices)
-                     for g in corpus.connected_graph_catalog(6))
+                     for g in examples.connected_graph_catalog(6))
     assert dict(counts) == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}

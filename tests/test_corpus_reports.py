@@ -75,12 +75,11 @@ def report(argv) -> list:
 def test_reference_file_covers_every_corpus_report():
     refs = json.loads(REFERENCES.read_text())
     assert sorted(refs) == sorted(key(a) for a in corpus_commands())
-    assert len(refs) == 178
+    assert len(refs) == 192
 
 
 @pytest.mark.parametrize("argv", corpus_commands(), ids=key)
-def test_corpus_report_bytes(argv, monkeypatch):
-    monkeypatch.delenv("RAAGFP_JOBS", raising=False)
+def test_corpus_report_bytes(argv):
     refs = json.loads(REFERENCES.read_text())
     assert report(argv) == refs[key(argv)]
 

@@ -1,9 +1,9 @@
 import random
 
+import examples
 import pytest
 from dense import from_rows, to_dense
 
-from raagfp import corpus
 from raagfp.flag_homology import simplicial_chain_complex
 from raagfp.fpcheck import Character, character_complex
 from raagfp.fpmatrix import MatrixFp, check_prime, rank_fp
@@ -42,17 +42,23 @@ def test_prime_validation():
 
 def test_zero_and_identity():
     assert rank_fp(MatrixFp(5, 7, 3)) == 0
-    assert rank_fp(MatrixFp(6, 6, 5, {(i, i): 1 for i in range(6)})) == 6
+    identity = [[int(i == j) for j in range(6)] for i in range(6)]
+    assert rank_fp(from_rows(identity, 5)) == 6
+    assert MatrixFp(2, 3, 5).columns == [{}, {}, {}]
+
+
+def test_equal_matrices_hash_alike():
+    a = MatrixFp.from_columns(3, 5, [{0: 1, 2: 4}, {}])
+    b = MatrixFp.from_columns(3, 5, [{2: 4, 0: 1}, {}])
+    assert a == b == from_rows([[1, 0], [0, 0], [4, 0]], 5)
+    assert hash(a) == hash(b)
+    assert a != MatrixFp(3, 2, 5) and a != from_rows([[1, 0], [0, 0], [4, 0]], 7)
 
 
 def test_entries_normalized_mod_p():
-    m = MatrixFp(2, 2, 3, {(0, 0): 3, (0, 1): 4, (1, 1): -1})
-    assert m.entries == {(0, 1): 1, (1, 1): 2}
-
-
-def test_out_of_bounds_entry():
-    with pytest.raises(ValueError):
-        MatrixFp(2, 2, 3, {(2, 0): 1})
+    m = from_rows([[3, 4], [0, -1]], 3)
+    assert m.columns == [{}, {0: 1, 1: 2}]
+    assert to_dense(m) == [[0, 1], [0, 2]]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 97, 2147483647])
@@ -122,8 +128,8 @@ def test_boundary_ranks_with_clearing_against_dense_oracle(p):
         for n in range(cx.lo, cx.hi + 2):
             assert cx.boundary_rank(n) == \
                 dense_rank(to_dense(cx.boundary(n)), p), (g, values, n)
-    c4 = corpus.cycle(4)
-    cx = character_complex(c4, corpus.ones_character(c4, p))
+    c4 = examples.cycle(4)
+    cx = character_complex(c4, examples.ones_character(c4, p))
     assert [cx.boundary_rank(n) for n in (0, 1, 2)] == [0, 1, 3]
 
 

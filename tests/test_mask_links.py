@@ -10,10 +10,11 @@ simplices and is the oracle here.
 import random
 from itertools import combinations
 
+import examples
 import pytest
 
-from graphref import is_connected
-from raagfp import corpus, flag_homology, fpmatrix
+from graphref import is_connected, neighbours
+from raagfp import flag_homology, fpmatrix
 from raagfp.errors import InternalDefect, SchemaError
 from raagfp.flag_homology import (link_complex, mask_reduced_homology,
                                   reduced_homology)
@@ -78,7 +79,8 @@ def dominated(g, vset):
     """Positions in vset whose closed neighbourhood inside vset lies in
     another member's, computed on named vertex sets."""
     members = {v for v in g.vertices if vset >> g.index(v) & 1}
-    closed = {v: (g.neighbors(v) & members) | {v} for v in members}
+    nbrs = neighbours(g)
+    closed = {v: (nbrs[v] & members) | {v} for v in members}
     return {g.index(v) for v in members
             if any(u != v and closed[v] <= closed[u] for u in members)}
 
@@ -133,7 +135,7 @@ def test_cones_collapse_to_a_point():
     rng = random.Random("cone-collapse")
     for _ in range(20):
         base = random_graph(rng, rng.randint(0, 6), 0.5)
-        cone = corpus.join(base, SimplicialGraph(["apex"], []))
+        cone = examples.join(base, SimplicialGraph(["apex"], []))
         core = strong_collapse(cone.masks, (1 << len(cone)) - 1)
         assert core.bit_count() == 1
 
@@ -167,8 +169,8 @@ def test_top_degree_is_the_clique_number():
 def test_cone_keeps_every_degree_row():
     # the S = () link of a cone collapses to a point, yet the report
     # still lists every clique size of the graph
-    cone = corpus.join(corpus.octahedron(), SimplicialGraph(["apex"], []))
-    rep = analyze(cone, corpus.ones_character(cone, 2))
+    cone = examples.join(examples.octahedron(), SimplicialGraph(["apex"], []))
+    rep = analyze(cone, examples.ones_character(cone, 2))
     assert [r["clique_size"] for r in rep["degrees"]] == [1, 2, 3, 4]
     assert rep["max_fp"] == "inf"
 
@@ -193,39 +195,14 @@ def test_max_fp_never_rises_when_the_support_shrinks():
     assert removals > 100
 
 
-# the 6-vertex triangulation of the real projective plane
-RP2_TRIANGLES = ((1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
-                 (2, 3, 5), (3, 4, 6), (2, 4, 5), (3, 5, 6), (2, 4, 6))
-
-
-def subdivision(triangles):
-    """Flag complex of the barycentric subdivision of a triangulated
-    surface: its vertices are the faces, named by their vertices and
-    ordered by size, and its edges join a face to its proper faces."""
-    faces = sorted({f for t in triangles for k in (1, 2, 3)
-                    for f in combinations(t, k)}, key=lambda f: (len(f), f))
-    name = {f: "f" + "".join(map(str, f)) for f in faces}
-    return SimplicialGraph(name.values(),
-                           [(name[a], name[b]) for a in faces for b in faces
-                            if len(a) < len(b) and set(a) < set(b)])
-
-
-def rp2():
-    """Flag triangulation of RP^2: the barycentric subdivision of the
-    6-vertex RP^2, with 31 vertices and 90 edges.  H_1 is Z/2, so over
-    F_2 the reduced homology is 1 in degrees 1 and 2, and over an odd
-    prime 0."""
-    return subdivision(RP2_TRIANGLES)
-
-
 def sphere():
     """Flag 2-sphere with 14 vertices: the barycentric subdivision of
     the boundary of a tetrahedron."""
-    return subdivision(list(combinations((1, 2, 3, 4), 3)))
+    return examples.subdivision(list(combinations((1, 2, 3, 4), 3)))
 
 
 def test_rp2_has_torsion_only_at_2():
-    g = rp2()
+    g = examples.rp2()
     assert (len(g), len(g.edges)) == (31, 90)
     rng = random.Random("rp2")
     full = frozenset(g.vertices)
@@ -243,11 +220,27 @@ def test_rp2_has_torsion_only_at_2():
 def test_rp2_fp_level_depends_on_p():
     inf = float("inf")
     for p, level in ((2, 1), (3, inf)):
-        g = rp2()
-        assert max_fp(g, corpus.ones_character(g, p)) == level
-    g = rp2()               # one graph, so one memo, asked at p = 2, 3, 2
-    assert [max_fp(g, corpus.ones_character(g, p)) for p in (2, 3, 2)] == \
+        g = examples.rp2()
+        assert max_fp(g, examples.ones_character(g, p)) == level
+    g = examples.rp2()      # one graph, so one memo, asked at p = 2, 3, 2
+    assert [max_fp(g, examples.ones_character(g, p)) for p in (2, 3, 2)] == \
         [1, inf, 1]
+
+
+def test_one_graph_analysed_at_2_then_3_then_2_matches_fresh_graphs():
+    # as a coabelian run with one spec per prime would: the memo keyed
+    # by (vertex set, p) must not hand one prime's homology to another
+    g = examples.rp2()
+    full = frozenset(g.vertices)
+    supports = (full, full - {"f1"}, full - {"f12", "f3"})
+    for p in (2, 3, 2):
+        for supp in supports:
+            chi = examples.support_character(g, supp, p)
+            assert analyze(g, chi, max_n=3) == \
+                analyze(examples.rp2(), chi, max_n=3), (p, supp)
+            assert link_homology_table(g, supp, p) == \
+                link_homology_table(examples.rp2(), supp, p), (p, supp)
+    assert {p for _, p in g._homology} == {2, 3}
 
 
 def test_warm_memo_tables_equal_fresh_graph_tables():
@@ -270,7 +263,7 @@ def test_warm_memo_tables_equal_fresh_graph_tables():
 
 
 def test_corrupt_memo_entry_is_caught_on_the_next_link_with_its_core():
-    g = corpus.path(3)                  # v1 - v2 - v3
+    g = examples.path(3)                  # v1 - v2 - v3
     h = mask_reduced_homology(g, 0b111, 2)
     # collapsed onto v3; kept under the core, then under the vertex set
     assert list(g._homology) == [(0b100, 2), (0b111, 2)]
@@ -280,7 +273,7 @@ def test_corrupt_memo_entry_is_caught_on_the_next_link_with_its_core():
 
 
 def test_a_vertex_set_seen_before_is_not_collapsed_again(monkeypatch):
-    g = corpus.path(3)                  # v1 - v2 - v3, a cone on v2
+    g = examples.path(3)                  # v1 - v2 - v3, a cone on v2
     collapses = []
 
     def recording(adj, vset):
@@ -298,7 +291,7 @@ def test_a_vertex_set_seen_before_is_not_collapsed_again(monkeypatch):
 
 
 def test_the_low_degree_self_check_runs_on_a_memo_hit():
-    g = corpus.path(3)
+    g = examples.path(3)
     h = mask_reduced_homology(g, 0b111, 2)
     g._homology[0b111, 2] = {**h, -1: 1}
     with pytest.raises(InternalDefect, match="degree -1"):
@@ -376,7 +369,7 @@ def test_relative_ranks_match_the_tuple_oracle_at_benchmark_scale(
     graphs = [random_graph(rng, rng.randint(9, 13), rng.uniform(0.3, 0.7))
               for _ in range(10)]
     graphs += [cross_polytope(rng, k) for k in (5, 6)]
-    suspension = corpus.join(rp2(), SimplicialGraph(["n", "s"]))
+    suspension = examples.join(examples.rp2(), SimplicialGraph(["n", "s"]))
     graphs.append(suspension)
     for g in graphs:
         full = (1 << len(g)) - 1

@@ -1,9 +1,9 @@
 """Malformed documents: every parser returns or raises SchemaError."""
 
+import examples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from raagfp import corpus
 from raagfp.coabelian import parse_matrix
 from raagfp.errors import SchemaError
 from raagfp.fpcheck import parse_character
@@ -71,7 +71,7 @@ def test_parse_character(document):
 @FUZZ
 @given(matrices | json_values)
 def test_parse_matrix(document):
-    graph = corpus.path(3)
+    graph = examples.path(3)
     returns_or_schema_error(lambda doc: parse_matrix(doc, graph), document)
 
 

@@ -42,7 +42,6 @@ def test_command_line_block_is_not_empty():
 @pytest.mark.parametrize("line", command_lines())
 def test_command_line_example_runs(line, monkeypatch):
     monkeypatch.chdir(ROOT)
-    monkeypatch.delenv("RAAGFP_JOBS", raising=False)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(shlex.split(line)[1:])

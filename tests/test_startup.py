@@ -26,11 +26,10 @@ SRC = ROOT / "src"
 NOT_LOADED = ("dataclasses", "inspect", "fractions", "traceback",
               "raagfp.gog", "raagfp.verify")
 
-# every name the package exported when it imported its modules eagerly
+# every name the package exports, by defining module
 EXPORTS = {
     "coabelian": ("CoabelianSpec", "ZeroPattern", "enumerate_patterns",
-                  "fg_coabelian", "fpn_coabelian", "is_full", "parse_matrix",
-                  "span_closure"),
+                  "fg_coabelian", "fpn_coabelian", "is_full", "parse_matrix"),
     "errors": ("EpimorphismError", "FiniteQuotientError", "SchemaError"),
     "flag_homology": ("ChainComplexFp", "link_complex", "reduced_homology",
                       "simplicial_chain_complex"),
@@ -109,10 +108,15 @@ def test_the_lazy_exports_are_the_eager_ones():
 
 
 def test_from_imports_of_names_and_submodules_work():
-    from raagfp import analyze, corpus
+    from raagfp import analyze, graph
     from raagfp.fpcheck import analyze as defined
     assert analyze is defined
-    assert corpus.cycle(4).vertices
+    assert graph.SimplicialGraph("ab").vertices == ("a", "b")
+
+
+def test_the_example_builders_are_not_part_of_the_package():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("raagfp.corpus")
 
 
 def test_an_unknown_name_raises_attribute_error():
