@@ -1,14 +1,16 @@
 """Command-line front end: raagfp {fg|fpn|table|coabelian|verify|gog}.
 
 Exit codes: 0 verdict true (or clean run), 1 verdict false (or suite
-failure), 2 malformed input or bad arguments, 3 inapplicable analysis
+failure), 2 malformed input or bad arguments (a count flag below 1
+exits before any file is read), 3 inapplicable analysis
 (zero character, rank-0 matrix, index bounds violated on a graph of
 groups whose free rank is below 2), 4 internal defect (a failed
 self-check, a violated index bound on input that meets the theorem's
 hypotheses, or any other exception, reported with its type).
 
 Reports are JSON by default (--format text for plain text) and are
-byte-identical across runs for fixed inputs and seed.
+byte-identical across runs for fixed inputs and seed.  Only ``table``
+has worker processes (``--jobs``); every other command runs in-process.
 """
 
 from __future__ import annotations
@@ -17,14 +19,16 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 
-# gog, verify and traceback are imported by the code that needs them,
-# so that fpn and coabelian calls do not pay for loading them
+# gog, verify, traceback and concurrent.futures are imported by the code
+# that needs them, so that fpn and coabelian calls do not pay for them
 from . import __version__, coabelian, fpcheck
 from .errors import (EpimorphismError, FiniteQuotientError, InternalDefect,
                      SchemaError)
+from .fpmatrix import check_prime
 from .graph import parse_graph
 
 EXIT_TRUE = 0
@@ -167,22 +171,17 @@ def cmd_fpn(args) -> int:
     return EXIT_TRUE if ok else EXIT_FALSE
 
 
-def _table_chunk(payload) -> list:
-    gdoc, p, supports = payload
-    g = parse_graph(gdoc)
-    rows = []
-    for support in supports:
-        chi = fpcheck.Character(p, {v: (1 if v in support else 0)
-                                    for v in g.vertices})
-        level = fpcheck.max_fp(g, chi)
-        rows.append({"support": list(support),
-                     "fg": level >= 1,         # fg is FP_1
-                     "max_fp": "inf" if level == fpcheck.INFINITE else level})
-    return rows
+def _table_row(g, p: int, support) -> dict:
+    chi = fpcheck.Character(p, {v: (1 if v in support else 0)
+                                for v in g.vertices})
+    level = fpcheck.max_fp(g, chi)
+    return {"support": list(support),
+            "fg": level >= 1,         # fg is FP_1
+            "max_fp": "inf" if level == fpcheck.INFINITE else level}
 
 
 def cmd_table(args) -> int:
-    from . import verify
+    check_prime(args.p)
     gdoc = _load_json(args.graph)
     g = parse_graph(gdoc)
     n = len(g.vertices)
@@ -192,25 +191,27 @@ def cmd_table(args) -> int:
     for mask in range(1, 1 << n):
         supports.append(tuple(v for i, v in enumerate(g.vertices)
                               if mask >> i & 1))
-    chunks = _split(supports, verify.pool_size(args.jobs, len(supports)))
-    payloads = [(gdoc, args.p, chunk) for chunk in chunks]
-    rows = []
-    for part in verify.pmap(_table_chunk, payloads, args.jobs):
-        rows.extend(part)
+    row = functools.partial(_table_row, g, args.p)
+    # a pool starts all its workers at once, so never more than the rows
+    workers = min(args.jobs, len(supports), os.cpu_count() or 1)
+    rows = None
+    if workers > 1:
+        try:
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                rows = list(pool.map(row, supports,
+                                     chunksize=-(-len(supports) // workers)))
+        except OSError:
+            pass
+    if rows is None:
+        rows = list(map(row, supports))
     doc = _report("table", {"graph_sha256": _digest(gdoc), "p": args.p},
                   {"rows": rows})
     _emit(doc, args.format)
     return EXIT_TRUE
 
 
-def _split(items, parts):
-    size = (len(items) + parts - 1) // parts if items else 1
-    return [items[i:i + size] for i in range(0, len(items), size)]
-
-
 def cmd_coabelian(args) -> int:
-    if args.max_n is not None and args.max_n < 1:
-        raise ValueError(f"--max-n must be >= 1, got {args.max_n}")
     gdoc = _load_json(args.graph)
     mdoc = _load_json(args.matrix)
     g = parse_graph(gdoc)
@@ -231,12 +232,8 @@ def cmd_coabelian(args) -> int:
 
 def cmd_verify(args) -> int:
     from . import verify
-    if args.trials < 1:
-        raise ValueError(f"--trials must be >= 1, got {args.trials}")
-    if args.max_vertices < 1:
-        raise ValueError(f"--max-vertices must be >= 1, got {args.max_vertices}")
     suites = verify.run_all(seed=args.seed, trials=args.trials,
-                            max_vertices=args.max_vertices, jobs=args.jobs)
+                            max_vertices=args.max_vertices)
     passed = all(r["passed"] for r in suites)
     doc = _report("verify",
                   {"seed": args.seed, "trials": args.trials,
@@ -317,7 +314,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--max-vertices", type=int, default=7, dest="max_vertices")
-    p.add_argument("--jobs", type=int, default=1)
     common(p)
     p.set_defaults(run=cmd_verify)
 
@@ -333,6 +329,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        for name in ("max_n", "trials", "max_vertices", "jobs"):  # counts
+            value = getattr(args, name, None)
+            if value is not None and value < 1:
+                flag = "--" + name.replace("_", "-")
+                raise ValueError(f"{flag} must be >= 1, got {value}")
         return args.run(args)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)

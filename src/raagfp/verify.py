@@ -3,12 +3,12 @@
 Each suite draws its own instances from a named random stream, so runs
 are reproducible given the seed.  A failing suite reports a minimal
 failing instance: graph shrinking retries the predicate with single
-vertices removed until no smaller instance still fails.
+vertices removed until no smaller instance still fails.  The suites
+run one after another in the calling process.
 """
 
 from __future__ import annotations
 
-import os
 import random
 
 from . import coabelian, fpcheck, gog
@@ -252,32 +252,6 @@ SUITES = {
 }
 
 
-def pool_size(jobs: int, tasks: int) -> int:
-    """``jobs`` capped by the task and CPU counts, and at least 1: a fork
-    pool starts all its workers at the first submit."""
-    return max(1, min(jobs, tasks, os.cpu_count() or 1))
-
-
-def pmap(fn, payloads: list, jobs):
-    """[fn(x) for x in payloads], over a pool of ``pool_size`` worker
-    processes when that is above 1 and a pool can be started."""
-    workers = pool_size(jobs, len(payloads))
-    if workers > 1:
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(fn, payloads))
-        except OSError:
-            pass
-    return [fn(p) for p in payloads]
-
-
-def _run_one(payload) -> dict:
-    name, seed, trials, max_vertices = payload
-    return SUITES[name](seed, trials, max_vertices)
-
-
-def run_all(seed: int = 0, trials: int = 100, max_vertices: int = 7,
-            jobs: int = 1) -> list:
-    payloads = [(name, seed, trials, max_vertices) for name in SUITES]
-    return pmap(_run_one, payloads, jobs)
+def run_all(seed: int = 0, trials: int = 100, max_vertices: int = 7) -> list:
+    """Every suite's report block, in ``SUITES`` order."""
+    return [suite(seed, trials, max_vertices) for suite in SUITES.values()]

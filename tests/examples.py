@@ -89,6 +89,23 @@ def rp2():
     return subdivision(RP2_TRIANGLES)
 
 
+# a mod-3 Moore space: a 9-gon b0..b8 coned off at c, with its boundary
+# wrapped three times around the triangle a0 a1 a2 (a indices mod 3)
+MOORE3_TRIANGLES = tuple(
+    tuple(sorted(t)) for i in range(9)
+    for t in ((f"a{i % 3}", f"a{(i + 1) % 3}", f"b{i}"),
+              (f"a{(i + 1) % 3}", f"b{i}", f"b{(i + 1) % 9}"),
+              ("c", f"b{i}", f"b{(i + 1) % 9}")))
+
+
+def moore3():
+    """Flag complex of the mod-3 Moore space: the barycentric
+    subdivision of 27 triangles, with 79 vertices and 240 edges.  H_1
+    is Z/3, so over F_3 the reduced homology is 1 in degrees 1 and 2,
+    and over any other prime 0."""
+    return subdivision(MOORE3_TRIANGLES)
+
+
 def ones_character(g: SimplicialGraph, p: int) -> Character:
     return Character(p, {v: 1 for v in g.vertices})
 

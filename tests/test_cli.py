@@ -9,7 +9,7 @@ import pytest
 from dense import from_rows
 
 from raagfp.cli import main
-from raagfp.graph import graph_document
+from raagfp.graph import SimplicialGraph, graph_document
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -119,6 +119,17 @@ def test_table_cap(files, capsys):
     assert code == 2
 
 
+def test_table_checks_the_prime_first(files, capsys):
+    # no support of the empty graph builds a character, which checks p
+    for g in (SimplicialGraph([]), examples.cycle(4)):
+        gp = files("g.json", graph_document(g))
+        code = main(["table", gp, "--p", "4"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == \
+            "error: p must be a prime below 2**31, got 4\n"
+
+
 def test_table_rows_for_isolated_pair(files, capsys):
     g = examples.edgeless(2)
     gp = files("e2.json", graph_document(g))
@@ -185,26 +196,35 @@ def test_verify_smoke(files, capsys):
     assert len(doc["results"]["suites"]) == 6
 
 
-def test_verify_rejects_trials_and_max_vertices_below_one(capsys):
-    for flag, value in (("--trials", "0"), ("--trials", "-3"),
-                        ("--max-vertices", "0"), ("--max-vertices", "-1")):
-        code = main(["verify", flag, value])
+def test_every_count_flag_below_one_exits_2_before_reading_a_file(capsys):
+    # the files do not exist, so reading one would give another message
+    missing = ["no-such.graph.json", "no-such.json"]
+    for command, flag, value in (
+            ("verify", "--trials", "0"), ("verify", "--trials", "-3"),
+            ("verify", "--max-vertices", "0"),
+            ("verify", "--max-vertices", "-1"),
+            ("fpn", "--max-n", "0"), ("coabelian", "--max-n", "-1"),
+            ("table", "--jobs", "0"), ("table", "--jobs", "-1")):
+        files = {"verify": [], "table": missing[:1]}.get(command, missing)
+        code = main([command, *files, flag, value])
         captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
+        assert code == 2 and captured.out == "", (command, flag, value)
         assert captured.err == f"error: {flag} must be >= 1, got {value}\n"
 
 
-def test_verify_jobs_do_not_change_the_report(capsys):
-    argv = ["verify", "--trials", "5", "--max-vertices", "5", "--seed", "3"]
-    assert run(capsys, argv + ["--jobs", "1"]) == \
-        run(capsys, argv + ["--jobs", "2"])
+def test_verify_has_no_jobs_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--trials", "1", "--jobs", "2"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "unrecognized arguments: --jobs 2" in captured.err
 
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """Replaces ProcessPoolExecutor with a stand-in that maps in this
     process, so no worker is started, and reports the CPU count as 3.
-    Yields the (max_workers, tasks) of every pool asked for."""
+    Yields the (max_workers, chunksize) of every pool map asked for."""
     import concurrent.futures
     sizes = []
 
@@ -218,9 +238,8 @@ def pool_sizes(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, payloads):
-            payloads = list(payloads)
-            sizes.append((self.max_workers, len(payloads)))
+        def map(self, fn, payloads, chunksize=1):
+            sizes.append((self.max_workers, chunksize))
             return map(fn, payloads)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
@@ -229,25 +248,16 @@ def pool_sizes(monkeypatch):
     return sizes
 
 
-def test_pool_never_exceeds_the_tasks_or_the_cpus(pool_sizes):
-    from raagfp.verify import pmap
-    assert pmap(abs, [-1, -2], 4000) == [1, 2]
-    assert pmap(abs, list(range(-9, 0)), 4000) == list(range(9, 0, -1))
-    assert pmap(abs, [-1], 4000) == [1]         # one task: no pool
-    assert pmap(abs, [-1, -2], 1) == [1, 2]
-    assert pool_sizes == [(2, 2), (3, 9)]
-
-
-def test_huge_jobs_split_table_and_verify_by_the_pool_size(
-        files, capsys, pool_sizes):
+def test_huge_jobs_split_the_table_by_the_pool_size(files, capsys, pool_sizes):
     gp, _ = c4_files(files)
     serial = run(capsys, ["table", gp, "--jobs", "1"])
+    assert pool_sizes == []                     # one worker: no pool
     assert run(capsys, ["table", gp, "--jobs", "4000"]) == serial
-    argv = ["verify", "--trials", "1", "--max-vertices", "4"]
-    assert run(capsys, argv + ["--jobs", "4000"]) == \
-        run(capsys, argv + ["--jobs", "1"])
-    # 15 table rows and 6 verify suites, 3 CPUs
-    assert pool_sizes == [(3, 3), (3, 6)]
+    # 15 rows and 3 CPUs: 3 workers, one chunk of 5 rows each
+    assert pool_sizes == [(3, 5)]
+    gp1 = files("k1.json", graph_document(examples.complete(1)))
+    run(capsys, ["table", gp1, "--jobs", "4000"])  # one row: no pool
+    assert pool_sizes == [(3, 5)]
 
 
 def test_verify_negative_control():

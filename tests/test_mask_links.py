@@ -7,6 +7,7 @@ and prime per graph.  The tuple route (``link_complex`` ->
 simplices and is the oracle here.
 """
 
+import json
 import random
 from itertools import combinations
 
@@ -18,12 +19,14 @@ from raagfp import flag_homology, fpmatrix
 from raagfp.errors import InternalDefect, SchemaError
 from raagfp.flag_homology import (link_complex, mask_reduced_homology,
                                   reduced_homology)
+from raagfp.cli import main
 from raagfp.fpcheck import (Character, analyze, character_complex,
+                            decomposition_check, fp_via_complex, fp_via_links,
                             homology_from_links, link_homology_table, max_fp,
                             outside_cliques)
 from raagfp.graph import (SimplicialGraph, clique_masks, clique_number,
-                          components, enumerate_cliques, induced_subgraph,
-                          strong_collapse)
+                          components, enumerate_cliques, graph_document,
+                          induced_subgraph, strong_collapse)
 
 
 def random_graph(rng, n, density):
@@ -240,6 +243,43 @@ def test_one_graph_analysed_at_2_then_3_then_2_matches_fresh_graphs():
                 analyze(examples.rp2(), chi, max_n=3), (p, supp)
             assert link_homology_table(g, supp, p) == \
                 link_homology_table(examples.rp2(), supp, p), (p, supp)
+    assert {p for _, p in g._homology} == {2, 3}
+
+
+def test_moore3_has_torsion_only_at_3():
+    g = examples.moore3()
+    assert (len(g), len(g.edges)) == (79, 240)
+    for p in (2, 3, 5, 7):
+        torsion = int(p == 3)
+        want = {-1: 0, 0: 0, 1: torsion, 2: torsion}
+        assert mask_reduced_homology(g, (1 << len(g)) - 1, p) == want, p
+        assert reduced_homology(enumerate_cliques(g), p) == want, p
+
+
+def test_moore3_fpn_verdict_depends_on_p(tmp_path, capsys):
+    g = examples.moore3()
+    gp = tmp_path / "moore3.json"
+    gp.write_text(json.dumps(graph_document(g)))
+    for p, code, level in ((3, 1, 1), (2, 0, "inf"), (5, 0, "inf")):
+        chi = examples.ones_character(g, p)
+        cp = tmp_path / f"ones{p}.json"
+        cp.write_text(json.dumps(chi.document()))
+        assert main(["fpn", str(gp), str(cp), "--max-n", "3"]) == code, p
+        assert json.loads(capsys.readouterr().out)["results"]["max_fp"] == \
+            level
+        # the unsplit support complex agrees with the link route
+        for n in (1, 2, 3):
+            assert fp_via_complex(g, chi, n) == fp_via_links(g, chi, n) == \
+                (level == "inf" or n <= level), (p, n)
+        assert decomposition_check(g, chi)["ok"], p
+
+
+def test_one_moore3_analysed_at_3_then_2_then_3_matches_fresh_graphs():
+    g = examples.moore3()
+    for p in (3, 2, 3):
+        chi = examples.ones_character(g, p)
+        assert analyze(g, chi, max_n=3) == \
+            analyze(examples.moore3(), chi, max_n=3), p
     assert {p for _, p in g._homology} == {2, 3}
 
 

@@ -22,9 +22,9 @@ from raagfp.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
-# modules that fpn and coabelian never run
+# modules that fpn, coabelian and a one-worker table never run
 NOT_LOADED = ("dataclasses", "inspect", "fractions", "traceback",
-              "raagfp.gog", "raagfp.verify")
+              "concurrent.futures", "raagfp.gog", "raagfp.verify")
 
 # every name the package exports, by defining module
 EXPORTS = {
@@ -64,6 +64,7 @@ COMMANDS = [
     ["fpn", "corpus/octahedron.graph.json", "corpus/octahedron.ones.chi.json"],
     ["coabelian", "corpus/cycle4.graph.json", "corpus/cycle4.allones.matrix.json",
      "--max-n", "2"],
+    ["table", "corpus/cycle4.graph.json"],
 ]
 
 
