@@ -8,9 +8,12 @@ groups whose free rank is below 2), 4 internal defect (a failed
 self-check, a violated index bound on input that meets the theorem's
 hypotheses, or any other exception, reported with its type).
 
-Reports are JSON by default (--format text for plain text) and are
-byte-identical across runs for fixed inputs and seed.  Only ``table``
-has worker processes (``--jobs``); every other command runs in-process.
+Each ``cmd_*`` function returns the report's inputs, its results and
+the exit code; ``main`` wraps them in the ``{"tool", "command",
+"input", "results"}`` envelope and writes the one report, JSON by
+default (--format text for plain text).  Reports are byte-identical
+across runs for fixed inputs and seed.  Only ``table`` has worker
+processes (``--jobs``); every other command runs in-process.
 """
 
 from __future__ import annotations
@@ -48,16 +51,13 @@ def _load_json(path: str):
         raise SchemaError(f"{path} is not valid JSON: {exc}") from None
 
 
-def _digest(document) -> str:
+def _graph(path: str, parse=parse_graph) -> tuple:
+    """The graph that ``parse`` builds from the JSON file at path (a
+    graph of groups for ``gog``), and the sha256 of the file's document
+    in canonical form."""
+    document = _load_json(path)
     blob = json.dumps(document, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def _report(command: str, inputs: dict, results: dict) -> dict:
-    return {"tool": {"name": "raagfp", "version": __version__},
-            "command": command,
-            "input": inputs,
-            "results": results}
+    return parse(document), hashlib.sha256(blob.encode()).hexdigest()
 
 
 def _render_text(doc, indent=0) -> list:
@@ -126,49 +126,37 @@ def render_json(doc, pad: str = "") -> str:
     return json.dumps(doc, indent=2).replace("\n", "\n" + pad)
 
 
-def _emit(doc: dict, fmt: str):
-    if fmt == "text":
-        sys.stdout.write("\n".join(_render_text(doc)) + "\n")
-    else:
-        sys.stdout.write(render_json(doc) + "\n")
-
-
 def _graph_and_character(args):
-    gdoc = _load_json(args.graph)
-    cdoc = _load_json(args.character)
-    g = parse_graph(gdoc)
-    chi = fpcheck.parse_character(cdoc)
+    g, sha256 = _graph(args.graph)
+    chi = fpcheck.parse_character(_load_json(args.character))
     chi.require_defined_on(g)
     for v in chi.values:
         if v not in g:
             raise SchemaError(f"character defined on a non-vertex: {v!r}")
-    inputs = {"graph_sha256": _digest(gdoc), "p": chi.p,
+    inputs = {"graph_sha256": sha256, "p": chi.p,
               "character": dict(chi.values)}
     return g, chi, inputs
 
 
-def cmd_fg(args) -> int:
+def cmd_fg(args) -> tuple:
     g, chi, inputs = _graph_and_character(args)
     supp, t = fpcheck.require_epimorphism(g, chi)
     connected, dominant = fpcheck.connected_and_dominant(g, supp)
     fg = connected and dominant
-    doc = _report("fg", inputs, {
-        "support": list(g.sorted(supp)),
-        "connected": connected,
-        "dominant": dominant,
-        "rescaled_by_power": t,
-        "fg": fg})
-    _emit(doc, args.format)
-    return EXIT_TRUE if fg else EXIT_FALSE
+    results = {"support": list(g.sorted(supp)),
+               "connected": connected,
+               "dominant": dominant,
+               "rescaled_by_power": t,
+               "fg": fg}
+    return inputs, results, EXIT_TRUE if fg else EXIT_FALSE
 
 
-def cmd_fpn(args) -> int:
+def cmd_fpn(args) -> tuple:
     g, chi, inputs = _graph_and_character(args)
     results = fpcheck.analyze(g, chi, max_n=args.max_n)
-    _emit(_report("fpn", inputs, results), args.format)
     wanted = args.max_n if args.max_n is not None else 1
     ok = all(r["fp_complex"] for r in results["degrees"][:wanted])
-    return EXIT_TRUE if ok else EXIT_FALSE
+    return inputs, results, EXIT_TRUE if ok else EXIT_FALSE
 
 
 def _table_row(g, p: int, support) -> dict:
@@ -180,17 +168,13 @@ def _table_row(g, p: int, support) -> dict:
             "max_fp": "inf" if level == fpcheck.INFINITE else level}
 
 
-def cmd_table(args) -> int:
+def cmd_table(args) -> tuple:
     check_prime(args.p)
-    gdoc = _load_json(args.graph)
-    g = parse_graph(gdoc)
+    g, sha256 = _graph(args.graph)
     n = len(g.vertices)
     if n > args.cap:
         raise ValueError(f"graph has {n} vertices, above the cap {args.cap}")
-    supports = []
-    for mask in range(1, 1 << n):
-        supports.append(tuple(v for i, v in enumerate(g.vertices)
-                              if mask >> i & 1))
+    supports = [g.members(mask) for mask in range(1, 1 << n)]
     row = functools.partial(_table_row, g, args.p)
     # a pool starts all its workers at once, so never more than the rows
     workers = min(args.jobs, len(supports), os.cpu_count() or 1)
@@ -205,66 +189,54 @@ def cmd_table(args) -> int:
             pass
     if rows is None:
         rows = list(map(row, supports))
-    doc = _report("table", {"graph_sha256": _digest(gdoc), "p": args.p},
-                  {"rows": rows})
-    _emit(doc, args.format)
-    return EXIT_TRUE
+    return {"graph_sha256": sha256, "p": args.p}, {"rows": rows}, EXIT_TRUE
 
 
-def cmd_coabelian(args) -> int:
-    gdoc = _load_json(args.graph)
-    mdoc = _load_json(args.matrix)
-    g = parse_graph(gdoc)
-    m = coabelian.parse_matrix(mdoc, g)
+def cmd_coabelian(args) -> tuple:
+    g, sha256 = _graph(args.graph)
+    m = coabelian.parse_matrix(_load_json(args.matrix), g)
     results = coabelian.fg_coabelian(g, m)
     verdict = results["fg"]
     if args.max_n is not None:
         results.update(coabelian.fpn_coabelian(g, m, args.max_n))
         verdict = verdict and results["fp"]
     results["fullness"] = coabelian.is_full(g, m)
-    doc = _report("coabelian",
-                  {"graph_sha256": _digest(gdoc), "p": m.p,
-                   "matrix": [list(r) for r in m.rows]},
-                  results)
-    _emit(doc, args.format)
-    return EXIT_TRUE if verdict else EXIT_FALSE
+    inputs = {"graph_sha256": sha256, "p": m.p,
+              "matrix": [list(r) for r in m.rows]}
+    return inputs, results, EXIT_TRUE if verdict else EXIT_FALSE
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple:
     from . import verify
     suites = verify.run_all(seed=args.seed, trials=args.trials,
                             max_vertices=args.max_vertices)
     passed = all(r["passed"] for r in suites)
-    doc = _report("verify",
-                  {"seed": args.seed, "trials": args.trials,
-                   "max_vertices": args.max_vertices},
-                  {"suites": suites, "passed": passed})
-    _emit(doc, args.format)
-    return EXIT_TRUE if passed else EXIT_FALSE
+    return ({"seed": args.seed, "trials": args.trials,
+             "max_vertices": args.max_vertices},
+            {"suites": suites, "passed": passed},
+            EXIT_TRUE if passed else EXIT_FALSE)
 
 
-def cmd_gog(args) -> int:
+def cmd_gog(args) -> tuple:
     from . import gog
-    xdoc = _load_json(args.gog)
-    x = gog.parse_gog(xdoc)
+    x, sha256 = _graph(args.gog, gog.parse_gog)
     m = args.index if args.index is not None else gog.lcm_vertex_orders(x)
     bounds = gog.check_bounds(x, m)
-    doc = _report("gog", {"gog_sha256": _digest(xdoc), "index": m}, {
-        **gog.euler_report(x),
-        "reduced": gog.is_reduced(x),
-        "dihedral_type": gog.is_dihedral_type(x),
-        "bounds": bounds})
-    _emit(doc, args.format)
+    inputs = {"gog_sha256": sha256, "index": m}
+    results = {**gog.euler_report(x),
+               "reduced": gog.is_reduced(x),
+               "dihedral_type": gog.is_dihedral_type(x),
+               "bounds": bounds}
     if not bounds["defect"]:
-        return EXIT_TRUE
+        return inputs, results, EXIT_TRUE
     if bounds["rank"] < 2:
         # the bounds are theorems only for groups that are not virtually
         # cyclic, i.e. whose free subgroups of finite index have rank >= 2
         print(f"error: bounds not applicable: free rank {bounds['rank']} at "
               f"index {m} is below 2, so the group is virtually cyclic",
               file=sys.stderr)
-        return EXIT_INAPPLICABLE
-    return EXIT_DEFECT
+        return inputs, results, EXIT_INAPPLICABLE
+    return inputs, results, EXIT_DEFECT
 
 
 @functools.cache
@@ -334,7 +306,14 @@ def main(argv=None) -> int:
             if value is not None and value < 1:
                 flag = "--" + name.replace("_", "-")
                 raise ValueError(f"{flag} must be >= 1, got {value}")
-        return args.run(args)
+        inputs, results, code = args.run(args)
+        doc = {"tool": {"name": "raagfp", "version": __version__},
+               "command": args.command, "input": inputs, "results": results}
+        if args.format == "text":
+            sys.stdout.write("\n".join(_render_text(doc)) + "\n")
+        else:
+            sys.stdout.write(render_json(doc) + "\n")
+        return code
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

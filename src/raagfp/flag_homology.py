@@ -69,7 +69,7 @@ class ChainComplexFp:
     ``dd_violation`` checks it.
     """
 
-    __slots__ = ("p", "lo", "hi", "dims", "boundaries", "_ranks", "_homology")
+    __slots__ = ("p", "lo", "hi", "dims", "boundaries", "_homology")
 
     def __init__(self, p, lo, hi, dims, boundaries):
         check_prime(p)
@@ -80,7 +80,7 @@ class ChainComplexFp:
         self.hi = hi
         self.dims = {n: int(dims.get(n, 0)) for n in range(lo, hi + 1)}
         self.boundaries = dict(boundaries)
-        self._ranks = self._homology = None
+        self._homology = None
         for n, m in self.boundaries.items():
             if not (lo < n <= hi):
                 raise ValueError(f"boundary degree out of range: {n}")
@@ -93,26 +93,6 @@ class ChainComplexFp:
         return self.boundaries.get(n) or MatrixFp(
             self.dims.get(n - 1, 0), self.dims.get(n, 0), self.p)
 
-    def _reduce(self):
-        """Rank every boundary and take the homology, in one clearing
-        pass over the columns of each d_n whose indices are not lows."""
-        def columns(k, cleared):
-            m = self.boundaries.get(self.lo + k)
-            if m is None:
-                return []
-            return [col for j, col in enumerate(m.columns) if j not in cleared]
-
-        ranks, h = _clearing_pass(
-            self.p, self.lo, [self.dims[n] for n in range(self.lo, self.hi + 1)],
-            columns)
-        self._ranks = dict(enumerate(ranks, self.lo))
-        self._homology = dict(enumerate(h, self.lo))
-
-    def boundary_rank(self, n: int) -> int:
-        if self._ranks is None:
-            self._reduce()
-        return self._ranks.get(n, 0)
-
     def dd_violation(self):
         """First degree n with d_n . d_(n+1) != 0, else None."""
         for n in range(self.lo + 1, self.hi):
@@ -121,15 +101,26 @@ class ChainComplexFp:
         return None
 
     def homology(self) -> dict:
-        """Dimension of ker d_n / im d_(n+1) for lo <= n <= hi."""
+        """Dimension of ker d_n / im d_(n+1) for lo <= n <= hi, in one
+        clearing pass over the columns of each d_n that are not lows."""
         if self._homology is None:
-            self._reduce()
+            def columns(k, cleared):
+                m = self.boundaries.get(self.lo + k)
+                if m is None:
+                    return []
+                return [col for j, col in enumerate(m.columns)
+                        if j not in cleared]
+
+            h = _clearing_pass(
+                self.p, self.lo,
+                [self.dims[n] for n in range(self.lo, self.hi + 1)], columns)
+            self._homology = dict(enumerate(h, self.lo))
         return dict(self._homology)
 
 
-def _clearing_pass(p: int, lo: int, sizes: list, columns) -> tuple:
-    """Boundary ranks and homology of a chain complex with sizes[k]
-    basis elements in degree lo + k, in one top-down pass.
+def _clearing_pass(p: int, lo: int, sizes: list, columns) -> list:
+    """Homology of a chain complex with sizes[k] basis elements in
+    degree lo + k, in one top-down pass.
 
     ``columns(k, cleared)`` lists the columns of the boundary out of
     degree lo + k as ``{row key: value}`` dicts, leaving out the columns
@@ -137,10 +128,10 @@ def _clearing_pass(p: int, lo: int, sizes: list, columns) -> tuple:
     up.  A reduced column of that boundary is a boundary, hence a cycle,
     whose largest key is its low, so the column of that low would reduce
     to zero (Chen-Kerber clearing; this needs d . d = 0, and any order
-    of keys works).  Returns ``(ranks, h)``: ranks[k] is the rank of the
-    boundary out of degree lo + k (ranks[0] and ranks[-1] are 0) and
-    h[k] the homology dimension in degree lo + k.
+    of keys works).  Returns h, with h[k] the homology dimension in
+    degree lo + k.
     """
+    # ranks[k] is the rank of the boundary out of degree lo + k
     ranks = [0] * (len(sizes) + 1)
     lows = set()                        # lows of the boundary one degree up
     for k in range(len(sizes) - 1, 0, -1):
@@ -153,7 +144,7 @@ def _clearing_pass(p: int, lo: int, sizes: list, columns) -> tuple:
         if dim < 0:
             raise InternalDefect(f"negative homology dimension at degree {lo + k}")
         h.append(dim)
-    return ranks, h
+    return h
 
 
 def _clique_complex(groups, p: int, lo: int, removable=None) -> ChainComplexFp:
@@ -322,6 +313,6 @@ def _core_homology(adj, vset: int, p: int) -> dict:
             out.append(column)
         return out
 
-    _, h = _clearing_pass(p, 0, [len(group) for group in groups[1:]] or [0],
-                          columns)
+    h = _clearing_pass(p, 0, [len(group) for group in groups[1:]] or [0],
+                       columns)
     return {-1: 0, **dict(enumerate(h))}

@@ -1,4 +1,5 @@
-"""Dense-list views of MatrixFp for writing test fixtures and expectations."""
+"""Dense-list views of MatrixFp for writing test fixtures and expectations,
+and plain row reduction as the independent oracle for every F_p rank."""
 
 from raagfp.fpmatrix import MatrixFp
 
@@ -20,3 +21,34 @@ def to_dense(m: MatrixFp) -> list:
         for i, v in col.items():
             out[i][j] = v
     return out
+
+
+def dense_rank(rows, p):
+    """Plain row reduction, the independent oracle for rank_fp."""
+    rows = [[x % p for x in r] for r in rows]
+    if not rows or not rows[0]:
+        return 0
+    ncols = len(rows[0])
+    rank = 0
+    for c in range(ncols):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        rows[rank] = [(x * inv) % p for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def dense_homology(cx) -> dict:
+    """The homology of a ChainComplexFp from its dims and the dense
+    ranks of its boundaries: dims[n] - rank d_n - rank d_(n+1)."""
+    rank = {n: dense_rank(to_dense(cx.boundary(n)), cx.p)
+            for n in range(cx.lo, cx.hi + 2)}
+    return {n: cx.dims[n] - rank[n] - rank[n + 1]
+            for n in range(cx.lo, cx.hi + 1)}

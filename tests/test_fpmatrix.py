@@ -2,34 +2,12 @@ import random
 
 import examples
 import pytest
-from dense import from_rows, to_dense
+from dense import dense_homology, dense_rank, from_rows, to_dense
 
 from raagfp.flag_homology import simplicial_chain_complex
 from raagfp.fpcheck import Character, character_complex
 from raagfp.fpmatrix import MatrixFp, check_prime, rank_fp
 from raagfp.graph import SimplicialGraph, enumerate_cliques
-
-
-def dense_rank(rows, p):
-    """Plain row reduction, the independent oracle for rank_fp."""
-    rows = [[x % p for x in r] for r in rows]
-    if not rows or not rows[0]:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for c in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][c], -1, p)
-        rows[rank] = [(x * inv) % p for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][c]:
-                f = rows[r][c]
-                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
 
 
 def test_prime_validation():
@@ -114,23 +92,22 @@ def shuffled_cross_polytopes():
 def test_boundary_ranks_with_clearing_against_dense_oracle(p):
     # ChainComplexFp ranks every boundary top-down, leaving out the
     # columns of d_n that are lows of d_(n+1); each rank must still be
-    # the rank of the whole matrix
+    # the rank of the whole matrix.  The dims and the homology in every
+    # degree fix every rank, so the homology is checked against the dims
+    # minus the dense ranks.
     rng = random.Random(f"clearing:{p}")
     graphs = list(boundary_test_graphs()) + list(shuffled_cross_polytopes())
     for g in graphs:
         cx = simplicial_chain_complex(enumerate_cliques(g), p)
-        for n in range(cx.lo, cx.hi + 2):
-            assert cx.boundary_rank(n) == \
-                dense_rank(to_dense(cx.boundary(n)), p), (g, n)
+        assert cx.homology() == dense_homology(cx), g
         # the support complex, which starts at the empty clique in degree 0
         values = {v: rng.choice((0, 1, -1, 2)) for v in g.vertices}
         cx = character_complex(g, Character(p, values))
-        for n in range(cx.lo, cx.hi + 2):
-            assert cx.boundary_rank(n) == \
-                dense_rank(to_dense(cx.boundary(n)), p), (g, values, n)
+        assert cx.homology() == dense_homology(cx), (g, values)
     c4 = examples.cycle(4)
     cx = character_complex(c4, examples.ones_character(c4, p))
-    assert [cx.boundary_rank(n) for n in (0, 1, 2)] == [0, 1, 3]
+    # dims 1, 4, 4 and boundary ranks 0, 1, 3
+    assert cx.homology() == dense_homology(cx) == {0: 0, 1: 0, 2: 1}
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 2147483647])
