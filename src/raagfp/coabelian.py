@@ -6,17 +6,19 @@ that map have supports determined by their zero pattern: the vertex
 sets Z realizable as {v : lambda . column(v) = 0} for a nonzero rational
 direction lambda are exactly the span-closed proper subsets of the
 columns.  Finite generation and FP_n of the kernel aggregate over those
-patterns.  One integer nullspace per column subset gives the subset's
-closure (the columns orthogonal to it) and the certificate's basis.
+patterns.  A depth-first walk over the independent column subsets
+carries each subset's integer nullspace basis, one elimination step
+from its parent's, with its dots with every column: the zero dots give
+the subset's closure, and their combinations the certificate.
 
 All arithmetic is exact and integer-only: fraction-free elimination
-and back substitution over Python's arbitrary-precision integers, no
-rationals and no floating point anywhere.
+over Python's arbitrary-precision integers, no rationals and no
+floating point anywhere.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import islice
 from math import gcd
 from operator import mul
 
@@ -101,17 +103,10 @@ def _int_echelon(rows):
     the rank come out zero.
     """
     rows = [list(r) for r in rows]
-    if not rows:
-        return rows, 0
-    ncols = len(rows[0])
-    rank = 0
-    prev = 1
+    ncols = len(rows[0]) if rows else 0
+    rank, prev = 0, 1
     for c in range(ncols):
-        piv = None
-        for r in range(rank, len(rows)):
-            if rows[r][c]:
-                piv = r
-                break
+        piv = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
@@ -125,47 +120,53 @@ def _int_echelon(rows):
     return rows[:rank], rank
 
 
-def _nullspace_int(rows, width):
-    """Integer vectors spanning {x : rows . x = 0} in dimension width.
-
-    One vector per free column f: the unique primitive integer vector
-    with x[f] > 0 and zeros at the other free columns, so the basis
-    depends only on the row span.  Back substitution scales the partial
-    vector by each pivot so that the solved entry stays integral; the
-    gcd and sign are fixed at the end.
-    """
-    ech, rank = _int_echelon(rows)
-    pivots = [next(j for j, x in enumerate(row) if x) for row in ech]
-    free = [j for j in range(width) if j not in pivots]
-    basis = []
-    for f in free:
-        x = [0] * width
-        x[f] = 1
-        for i in range(rank - 1, -1, -1):
-            c = pivots[i]
-            s = sum(ech[i][j] * x[j] for j in range(c + 1, width))
-            x = [xj * ech[i][c] for xj in x]
-            x[c] = -s
-        g = 0
-        for xj in x:
-            g = gcd(g, xj)
-        if x[f] < 0:
-            g = -g
-        basis.append(tuple(xj // g for xj in x))
-    return basis
-
-
 def matrix_rank(m: CoabelianSpec) -> int:
     """Rank of the defining matrix over the rationals."""
-    return _int_echelon([list(r) for r in m.rows])[1]
+    return _int_echelon(m.rows)[1]
 
 
-def _closure(cols, subset, k):
-    """The nullspace basis of the columns in subset, and the positions of
-    the columns orthogonal to all of it: the subset's span closure."""
-    basis = _nullspace_int([cols[j] for j in subset], k)
-    return basis, frozenset(j for j, col in enumerate(cols)
-                            if not any(_dot(b, col) for b in basis))
+def _subset_tree(cols, k, depth):
+    """Every independent subset of the columns ``cols`` (k entries each)
+    of size at most depth, depth first, as (subset, rows, closure).
+
+    Each row is a vector of the subset's canonical nullspace basis (the
+    primitive vector per free coordinate f of the reduced row echelon
+    form that is positive at f and 0 at the other free coordinates, so
+    it depends only on the span) followed by its dots with every column;
+    the closure lists the columns where every dot is 0.  The empty
+    subset carries the unit vectors.  Adding column j (not in the
+    closure, so the subset stays independent) pivots on the first row
+    with a nonzero dot at j; every other row v becomes a*v - x*pivot
+    (a, x their dots at j), divided by its vector's gcd and sign of a.
+    """
+    units = [[int(i == f) for i in range(k)] + [col[f] for col in cols]
+             for f in range(k)]
+    zero = [0] * (k + len(cols))    # keeps the transpose whole with no rows
+    stack = [((), units)]
+    while stack:
+        subset, rows = stack.pop()
+        closure = tuple(c for c, dots in
+                        enumerate(islice(zip(zero, *rows), k, None))
+                        if not any(dots))
+        yield subset, rows, closure
+        if len(subset) == depth:
+            continue
+        for j in range(subset[-1] + 1 if subset else 0, len(cols)):
+            if j in closure:
+                continue
+            pivot = next(r for r in rows if r[k + j])
+            a = pivot[k + j]
+            child = []
+            for r in rows:
+                if r is pivot:
+                    continue
+                x = r[k + j]
+                if x:
+                    r = [a * y - x * q for y, q in zip(r, pivot)]
+                    g = gcd(*r[:k]) if a > 0 else -gcd(*r[:k])
+                    r = [y // g for y in r]
+                child.append(r)
+            stack.append((subset + (j,), child))
 
 
 def enumerate_patterns(m: CoabelianSpec) -> list:
@@ -177,9 +178,10 @@ def enumerate_patterns(m: CoabelianSpec) -> list:
     of the subsets of those sizes cover them all.  A subset of size equal
     to the rank adds nothing: independent, it spans every column and its
     closure is not proper; dependent, its closure is that of a smaller
-    independent subset.  One nullspace per subset gives its closure and
-    the basis of that pattern's certificate, the same for every subset
-    with that closure.  Output is sorted by size then vertex order.
+    independent subset.  The basis ``_subset_tree`` carries at the first
+    subset reaching a closure, the same at every subset with that
+    closure, gives the certificate.  Output is sorted by size then
+    vertex order.
 
     The patterns are computed and their certificates verified on the
     first call for m and kept on m; every call returns a new list of
@@ -191,45 +193,37 @@ def enumerate_patterns(m: CoabelianSpec) -> list:
     if rank == 0:
         raise FiniteQuotientError(
             "matrix has rank 0: the quotient is finite, no rank-one quotients")
-    n = len(m.vertices)
     cols = [m.column(v) for v in m.vertices]
     flats = {}
-    for size in range(0, rank):
-        for subset in combinations(range(n), size):
-            basis, closed = _closure(cols, subset, m.k)
-            if len(closed) < n and closed not in flats:
-                flats[closed] = basis
-    ordered = sorted(flats, key=lambda s: (len(s), sorted(s)))
+    for _, rows, closure in _subset_tree(cols, m.k, rank - 1):
+        flats.setdefault(closure, rows)
+    ordered = sorted(flats, key=lambda zs: (len(zs), zs))
     patterns = tuple(_certify(m, cols, zs, flats[zs]) for zs in ordered)
     object.__setattr__(m, "_patterns", patterns)
     return list(patterns)
 
 
-def _certify(m: CoabelianSpec, cols, zero_idx, basis) -> ZeroPattern:
-    """Combine the zero columns' nullspace basis into a certificate."""
-    outside = [cols[j] for j in range(len(cols)) if j not in zero_idx]
+def _certify(m: CoabelianSpec, cols, zero_idx, rows) -> ZeroPattern:
+    """Combine the zero columns' nullspace basis, carried in ``rows``
+    with its dots, into a certificate."""
     # A generic integer combination avoids the finitely many hyperplanes
     # orthogonal to the outside columns; powers of t suffice for some t.
+    # Its dots combine the carried ones: 0 on every zero column.
     for t in range(1, 10000):
-        lam = tuple(sum(t ** i * b[j] for i, b in enumerate(basis))
-                    for j in range(m.k))
-        if all(_dot(lam, col) for col in outside):
+        powers = [t ** i for i in range(len(rows))]
+        lam = [sum(map(mul, powers, entries)) for entries in zip(*rows)]
+        if lam[m.k:].count(0) == len(zero_idx):
             pattern = ZeroPattern(
-                tuple(m.vertices[j] for j in sorted(zero_idx)), lam)
+                tuple(m.vertices[j] for j in zero_idx), lam[:m.k])
             _verify_certificate(m, cols, pattern)
             return pattern
     raise InternalDefect("no certificate found; pattern not realizable")
 
 
-def _dot(a, b):
-    return sum(map(mul, a, b))
-
-
 def _verify_certificate(m: CoabelianSpec, cols, pattern: ZeroPattern):
     zs = set(pattern.zero_set)
     for v, col in zip(m.vertices, cols):
-        d = _dot(pattern.certificate, col)
-        if (d == 0) != (v in zs):
+        if (not sum(map(mul, pattern.certificate, col))) != (v in zs):
             raise InternalDefect(f"certificate fails at vertex {v!r}")
 
 
@@ -300,7 +294,7 @@ def is_full(g: SimplicialGraph, m: CoabelianSpec) -> dict:
                 "reason": "not a clique: the factor's derived subgroup "
                           "lies in the kernel"})
             continue
-        _, rank = _int_echelon([list(m.column(v)) for v in factor])
+        _, rank = _int_echelon([m.column(v) for v in factor])
         hits = rank < len(factor)
         factors.append({
             "factor": list(factor), "is_clique": True, "intersects": hits,

@@ -224,7 +224,8 @@ def mask_reduced_homology(g: SimplicialGraph, vset: int, p: int) -> dict:
     core collapses to itself, so both keys hold the same homology).  A
     vset that is not a set of g's positions raises SchemaError on a memo
     miss.  The h_-1 and h_0 self-checks run on every call against the
-    emptiness and component count of vset.
+    emptiness and component count of vset; the count is kept in g's
+    ``_components`` memo, so each vertex set is searched once.
     """
     adj = g.masks
     memo = g._homology
@@ -236,7 +237,10 @@ def mask_reduced_homology(g: SimplicialGraph, vset: int, p: int) -> dict:
         if h is None:
             h = memo[core, p] = _core_homology(adj, core, p)
         memo[vset, p] = h
-    _check_low_degrees(h, vset.bit_count(), len(components(adj, vset)))
+    count = g._components.get(vset)
+    if count is None:
+        count = g._components[vset] = len(components(adj, vset))
+    _check_low_degrees(h, vset.bit_count(), count)
     return h
 
 

@@ -32,11 +32,11 @@ class SimplicialGraph(Frozen):
     only record of the edges: ``edges`` is derived from them, as pairs
     sorted by vertex order.  Assigning or deleting an attribute raises
     AttributeError; equality and hash read ``(vertices, masks)``, and
-    pickling rebuilds a graph from its vertices and edge pairs.  Two
+    pickling rebuilds a graph from its vertices and edge pairs.  Three
     private caches that depend only on the masks are filled on first
-    use: ``_omega``, the largest clique size, and ``_homology``, the
-    memo of ``flag_homology.mask_reduced_homology``.  A graph may be
-    shared between tasks.
+    use: ``_omega``, the largest clique size, and ``_homology`` and
+    ``_components``, the memos of ``flag_homology.mask_reduced_homology``.
+    A graph may be shared between tasks.
 
     >>> g = SimplicialGraph(["a", "b", "c"], [("b", "a"), ("b", "c")])
     >>> sorted(g.edges)
@@ -45,7 +45,8 @@ class SimplicialGraph(Frozen):
     False
     """
 
-    __slots__ = ("vertices", "masks", "_index", "_omega", "_homology")
+    __slots__ = ("vertices", "masks", "_index", "_omega", "_homology",
+                 "_components")
 
     def __init__(self, vertices, edges=()):
         vs = tuple(vertices)
@@ -68,8 +69,9 @@ class SimplicialGraph(Frozen):
         object.__setattr__(self, "masks", tuple(masks))
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_omega", None)
-        # (vertex set, p) -> reduced homology
+        # (vertex set, p) -> reduced homology; vertex set -> components
         object.__setattr__(self, "_homology", {})
+        object.__setattr__(self, "_components", {})
 
     @property
     def edges(self) -> frozenset:

@@ -24,7 +24,8 @@ def to_dense(m: MatrixFp) -> list:
 
 
 def dense_rank(rows, p):
-    """Plain row reduction, the independent oracle for rank_fp."""
+    """Plain row reduction to echelon form, the independent oracle for
+    rank_fp."""
     rows = [[x % p for x in r] for r in rows]
     if not rows or not rows[0]:
         return 0
@@ -36,11 +37,11 @@ def dense_rank(rows, p):
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
         inv = pow(rows[rank][c], -1, p)
-        rows[rank] = [(x * inv) % p for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][c]:
-                f = rows[r][c]
-                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
+        top = rows[rank] = [(x * inv) % p for x in rows[rank]]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][c]
+            if f:
+                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], top)]
         rank += 1
     return rank
 

@@ -7,12 +7,13 @@ from math import comb, gcd
 import examples
 import pytest
 from graphref import is_connected, is_dominant
+from test_fpcheck import planted_torsion
 
 from raagfp import cli, coabelian, fpcheck
-from raagfp.coabelian import (CoabelianSpec, ZeroPattern, _closure,
-                              _int_echelon, _nullspace_int, enumerate_patterns,
-                              fg_coabelian, fpn_coabelian, is_full,
-                              matrix_rank, parse_matrix)
+from raagfp.coabelian import (CoabelianSpec, ZeroPattern, _int_echelon,
+                              _subset_tree, enumerate_patterns, fg_coabelian,
+                              fpn_coabelian, is_full, matrix_rank,
+                              parse_matrix)
 from raagfp.errors import FiniteQuotientError, SchemaError
 from raagfp.graph import SimplicialGraph, graph_document, induced_subgraph
 
@@ -69,7 +70,38 @@ def frac_rank(rows):
     return len(frac_rref(rows)[1])
 
 
+def rational_closure(cols, subset) -> tuple:
+    """Positions of the columns in the rational span of the subset's
+    columns: each column reduced by the subset's rational RREF."""
+    rref, pivots = frac_rref([cols[j] for j in subset])
+    closed = []
+    for j, col in enumerate(cols):
+        rest = [Fraction(x) for x in col]
+        for row, c in zip(rref, pivots):
+            f = rest[c]
+            rest = [a - f * b for a, b in zip(rest, row)]
+        if not any(rest):
+            closed.append(j)
+    return tuple(closed)
+
+
+def rational_tree(cols) -> dict:
+    """Every independent subset of the columns, with its closure: each
+    one grown from a smaller one by a column outside its rational span."""
+    tree, todo = {}, [()]
+    while todo:
+        subset = todo.pop()
+        tree[subset] = closed = rational_closure(cols, subset)
+        todo.extend(subset + (j,) for j in range(len(cols))
+                    if j not in closed and j > max(subset, default=-1))
+    return tree
+
+
 def test_integer_elimination_against_rational_oracle():
+    # the rows of a system are the columns the subset tree walks: it
+    # visits exactly the independent subsets, each with the closure the
+    # rational rank gives and carrying width - size vectors, whose
+    # carried dots are their dots with every row
     rng = random.Random("bareiss")
     for _ in range(400):
         nr = rng.randint(0, 6)
@@ -81,15 +113,20 @@ def test_integer_elimination_against_rational_oracle():
                 rows[i] = [a * rng.randint(-2, 2) for a in rows[j]]
         ech, rank = _int_echelon(rows)
         assert rank == frac_rank(rows)
-        basis = _nullspace_int(rows, nc)
-        assert len(basis) == nc - rank
-        assert all(sum(x * y for x, y in zip(r, b)) == 0
-                   for b in basis for r in rows)
+        visits = list(_subset_tree(rows, nc, nr))
+        tree = {subset: closure for subset, _, closure in visits}
+        assert len(tree) == len(visits) and tree == rational_tree(rows)
+        assert max(map(len, tree)) == rank
+        for subset, carried, closure in visits:
+            assert len(carried) == nc - len(subset)
+            for r in carried:
+                assert r[nc:] == [sum(x * y for x, y in zip(r, row))
+                                  for row in rows]
 
 
 def nullspace_fraction(rows, width):
     """Rational back substitution, then the lcm of the denominators: the
-    reference for the integer-only back substitution in _nullspace_int."""
+    reference for the integer nullspace bases the subset tree carries."""
     ech, rank = _int_echelon(rows)
     pivots = [next(j for j, x in enumerate(row) if x) for row in ech]
     free = [j for j in range(width) if j not in pivots]
@@ -109,6 +146,10 @@ def nullspace_fraction(rows, width):
     return basis
 
 
+def carried_basis(carried, width):
+    return [tuple(r[:width]) for r in carried]
+
+
 def test_nullspace_against_rational_back_substitution():
     rng = random.Random("nullspace")
     checked = 0
@@ -122,26 +163,51 @@ def test_nullspace_against_rational_back_substitution():
             i, j, t = rng.randrange(nr), rng.randrange(nr), rng.randrange(nr)
             rows[i] = [rng.randint(-3, 3) * a + rng.randint(-3, 3) * b
                        for a, b in zip(rows[j], rows[t])]
-        basis = _nullspace_int(rows, width)
-        assert basis == nullspace_fraction(rows, width)
-        for b in basis:
-            assert all(type(x) is int for x in b)
-            g = 0
-            for x in b:
-                g = gcd(g, x)
-            assert g == 1                       # primitive
-        checked += len(basis)
+        for subset, carried, closure in _subset_tree(rows, width, nr):
+            basis = carried_basis(carried, width)
+            assert basis == nullspace_fraction([rows[j] for j in subset], width)
+            # and that of its closure, dependent rows included
+            if len(closure) > len(subset):
+                assert basis == nullspace_fraction([rows[j] for j in closure],
+                                                   width)
+            free = [max(j for j, x in enumerate(b) if x) for b in basis]
+            for b, f in zip(basis, free):
+                assert all(type(x) is int for x in b)
+                g = 0
+                for x in b:
+                    g = gcd(g, x)
+                assert g == 1                   # primitive
+                assert b[f] > 0 and not any(b[e] for e in free if e != f)
+            checked += len(basis)
     assert checked > 1000
 
 
-# span closure, through the closure that enumerate_patterns runs
+# span closure, through the closures the subset tree carries
+
+def subset_tree(m) -> dict:
+    """Every independent column subset -> (carried rows, closure)."""
+    cols = [m.column(v) for v in m.vertices]
+    return {s: (rows, closure)
+            for s, rows, closure in _subset_tree(cols, m.k, len(cols))}
+
+
+def greedy_subset(m, tree, z) -> tuple:
+    """The independent subset of z's columns that adds each column not
+    yet in the closure, in vertex order: a path down the subset tree."""
+    subset = ()
+    for j, v in enumerate(m.vertices):
+        if v in z and j not in tree[subset][1]:
+            subset += (j,)
+    return subset
+
 
 def span_closure(m, z) -> frozenset:
     """Vertices whose column lies in the rational span of the columns
-    of the vertex set z."""
-    cols = [m.column(v) for v in m.vertices]
-    _, closed = _closure(cols, [m.vertices.index(v) for v in z], m.k)
-    return frozenset(m.vertices[j] for j in closed)
+    of the vertex set z: the closure the subset tree carries at z's
+    greedy subset."""
+    tree = subset_tree(m)
+    closure = tree[greedy_subset(m, tree, z)][1]
+    return frozenset(m.vertices[j] for j in closure)
 
 
 def test_span_closure_examples():
@@ -170,17 +236,25 @@ def test_span_closure_against_rational_rank():
 
 def test_nullspace_depends_only_on_the_span():
     # a pattern's certificate is built from the basis of the first subset
-    # reaching its closure, so the bytes rely on this
+    # reaching its closure, so the bytes rely on every subset reaching a
+    # flat carrying that flat's basis
     rng = random.Random("canonical-basis")
     compared = 0
     for _ in range(300):
         m = dependent_spec(rng, rng.randint(1, 7), rng.randint(1, 4))
+        cols = [m.column(v) for v in m.vertices]
+        first = {}
+        for subset, carried, closure in _subset_tree(cols, m.k, len(cols)):
+            basis = carried_basis(carried, m.k)
+            first.setdefault(closure, basis)
+            assert basis == first[closure] == \
+                nullspace_fraction([cols[j] for j in closure], m.k)
+            compared += len(closure) > len(subset)
         z = rng.sample(m.vertices, rng.randint(0, len(m.vertices)))
-        closed = span_closure(m, z)
-        flat = [m.column(v) for v in m.vertices if v in closed]
-        assert _nullspace_int([m.column(v) for v in z], m.k) == \
-            _nullspace_int(flat, m.k)
-        compared += len(closed) > len(z)
+        tree = subset_tree(m)
+        carried = tree[greedy_subset(m, tree, z)][0]
+        assert carried_basis(carried, m.k) == \
+            nullspace_fraction([m.column(v) for v in z], m.k)
     assert compared > 50
 
 
@@ -243,15 +317,7 @@ def reference_patterns(m):
     seen = set()
     for size in range(0, frac_rank(m.rows) + 1):
         for subset in combinations(range(n), size):
-            rref, pivots = frac_rref([cols[j] for j in subset])
-            closed = set()
-            for j, col in enumerate(cols):
-                rest = [Fraction(x) for x in col]
-                for row, c in zip(rref, pivots):
-                    f = rest[c]
-                    rest = [a - f * b for a, b in zip(rest, row)]
-                if not any(rest):
-                    closed.add(j)
+            closed = rational_closure(cols, subset)
             if len(closed) < n:
                 seen.add(frozenset(closed))
     out = []
@@ -334,21 +400,22 @@ def test_one_coabelian_command_enumerates_the_patterns_once(
     gp, mp = tmp_path / "g.json", tmp_path / "m.json"
     gp.write_text(json.dumps(graph_document(g)))
     mp.write_text(json.dumps({"p": 3, "rows": rows}))
-    closures = []
+    visits = []
 
     def counting(*args):
-        closures.append(args[1])
-        return real(*args)
+        for visit in real(*args):
+            visits.append(visit[0])
+            yield visit
 
-    real = coabelian._closure
-    monkeypatch.setattr(coabelian, "_closure", counting)
+    real = coabelian._subset_tree
+    monkeypatch.setattr(coabelian, "_subset_tree", counting)
     cli.main(["coabelian", str(gp), str(mp), "--max-n", "1"])
     results = json.loads(capsys.readouterr().out)["results"]
     # fg, fp and the fullness note each read the patterns
     assert "fp" in results and results["fullness"]["full"]
     rank, n = 3, len(g)
-    assert len(closures) == sum(comb(n, s) for s in range(rank))
-    assert len(set(closures)) == len(closures)
+    assert len(visits) == sum(comb(n, s) for s in range(rank))
+    assert len(set(visits)) == len(visits)
 
 
 def test_certificates_are_exact():
@@ -433,14 +500,18 @@ def test_k1_degenerates_to_single_character():
 
 
 
-def dead_zero_sets(g, p, n):
+def dead_zero_sets(g, p, n, movable=None):
     """Zero sets Z whose support V - Z is not finitely generated (n is
     None) or not FP_n, decided per support with no pattern enumeration:
     fg by the set-based connectivity and dominance reference, FP_n by
-    the unsplit support complex.  The empty support is dead."""
+    the unsplit support complex.  The empty support is dead.  Only the
+    supports inside ``movable`` (every vertex when None) are tried, so
+    every Z returned holds the other vertices."""
+    movable = g.vertices if movable is None else movable
+    fixed = frozenset(g.vertices).difference(movable)
     dead = set()
-    for mask in range(1 << len(g.vertices)):
-        zs = frozenset(v for i, v in enumerate(g.vertices) if mask >> i & 1)
+    for mask in range(1 << len(movable)):
+        zs = fixed.union(v for i, v in enumerate(movable) if mask >> i & 1)
         supp = [v for v in g.vertices if v not in zs]
         if not supp:
             alive = False
@@ -465,10 +536,35 @@ def in_proper_flat(m, zs):
         frac_rank(m.rows)
 
 
+def check_against_dead_zero_sets(g, m, movable=None) -> list:
+    """The fg, FP_1 and FP_2 verdicts of m's kernel against the dead
+    zero sets holding every vertex outside ``movable``: the kernel is
+    fg / FP_n iff no dead zero set lies in a proper flat.  That reading
+    needs the dead sets closed under supersets (a smaller support is
+    never better), which is checked along the way; every zero pattern
+    holds the zero columns, so with supersets closed only the dead sets
+    holding them matter.  Returns the verdicts."""
+    verdicts = []
+    for deg in (None, 1, 2):
+        dead = dead_zero_sets(g, m.p, deg, movable)
+        for zs in dead:
+            for v in g.vertices:
+                assert zs | {v} in dead, (g, zs, v)
+        expected = not any(in_proper_flat(m, zs) for zs in dead)
+        if deg is None:
+            rep = fg_coabelian(g, m)
+            verdict, witness = rep["fg"], rep["fg_witness"]
+        else:
+            rep = fpn_coabelian(g, m, deg)
+            verdict, witness = rep["fp"], rep["fp_witness"]
+        assert verdict == expected, (g, m, deg)
+        assert verdict == (witness is None)
+        assert witness is None or frozenset(witness) in dead
+        verdicts.append(verdict)
+    return verdicts
+
+
 def test_coabelian_verdicts_against_dead_zero_sets():
-    # the kernel is fg / FP_n iff no dead zero set lies in a proper flat;
-    # that reading needs the dead sets closed under supersets (a smaller
-    # support is never better), which is checked along the way
     rng = random.Random("dead-zero-sets")
     cases = 0
     while cases < 180:
@@ -481,22 +577,34 @@ def test_coabelian_verdicts_against_dead_zero_sets():
         m = CoabelianSpec(p, m.rows, m.vertices)
         if matrix_rank(m) == 0:
             continue
-        for deg in (None, 1, 2):
-            dead = dead_zero_sets(g, p, deg)
-            for zs in dead:
-                for v in vs:
-                    assert zs | {v} in dead, (g, zs, v)
-            expected = not any(in_proper_flat(m, zs) for zs in dead)
-            if deg is None:
-                rep = fg_coabelian(g, m)
-                verdict, witness = rep["fg"], rep["fg_witness"]
-            else:
-                rep = fpn_coabelian(g, m, deg)
-                verdict, witness = rep["fp"], rep["fp_witness"]
-            assert verdict == expected, (g, m, deg)
-            assert verdict == (witness is None)
-            assert witness is None or frozenset(witness) in dead
-            cases += 1
+        cases += len(check_against_dead_zero_sets(g, m))
+
+
+@pytest.mark.parametrize("piece, cases", [("rp2", 4), ("moore3", 2)])
+def test_coabelian_verdicts_against_dead_zero_sets_on_planted_torsion(
+        piece, cases):
+    # the only nonzero columns are those of the cone vertex z, the piece
+    # vertex the random graph is wedged onto and that graph's other
+    # vertices, filled up with vertices of the piece to 6 in all
+    base = getattr(examples, piece)()
+    rng = random.Random(f"planted-torsion-dead:{piece}")
+    verdicts = set()
+    for _ in range(cases):
+        g, _ = planted_torsion(rng, base)
+        z, *wedged = g.vertices[len(base.vertices):]
+        near = [v for v in base.vertices
+                if any(g.is_clique((v, w)) for w in wedged)]
+        rest = rng.sample([v for v in base.vertices if v not in near], 6)
+        movable = [z, *near, *wedged, *rest][:6]
+        for p in (2, 3, 5):
+            small = dependent_spec(rng, len(movable), rng.randint(1, 3))
+            if matrix_rank(small) == 0:
+                continue
+            cols = dict(zip(movable, zip(*small.rows)))
+            rows = zip(*(cols.get(v, (0,) * small.k) for v in g.vertices))
+            m = CoabelianSpec(p, rows, g.vertices)
+            verdicts.add(tuple(check_against_dead_zero_sets(g, m, movable)))
+    assert len(verdicts) > 1
 
 # fullness
 

@@ -280,7 +280,8 @@ def planted_torsion(rng, piece):
 def test_routes_agree_on_planted_torsion(piece, torsion, other):
     # the piece has p-torsion in H_1 for p = torsion only, and a graph of
     # at most 7 vertices has none, so the verdicts agree at the other two
-    # primes and can only fail earlier at the torsion prime
+    # primes and can only fail earlier at the torsion prime; the support
+    # complex's ranks are also checked by plain row reduction
     base = getattr(examples, piece)()
     rng = random.Random(f"planted-torsion:{piece}")
     differ = 0
@@ -289,6 +290,8 @@ def test_routes_agree_on_planted_torsion(piece, torsion, other):
         levels = {}
         for p in (2, 3, 5):
             chi = Character(p, values)
+            cx = character_complex(g, chi)
+            assert cx.homology() == dense_homology(cx), (g, p)
             rep = analyze(g, chi)
             flags = [fp_via_complex(g, chi, n)
                      for n in range(1, len(rep["degrees"]) + 1)]

@@ -330,6 +330,21 @@ def test_a_vertex_set_seen_before_is_not_collapsed_again(monkeypatch):
     assert collapses == [0b111, 0b111]  # another prime is another entry
 
 
+def test_each_vertex_set_is_searched_for_components_once(monkeypatch):
+    g = examples.path(3)
+    searched = []
+
+    def recording(adj, vset):
+        searched.append(vset)
+        return components(adj, vset)
+
+    monkeypatch.setattr(flag_homology, "components", recording)
+    for vset, p in ((0b111, 2), (0b111, 2), (0b111, 3), (0b101, 2)):
+        mask_reduced_homology(g, vset, p)
+    assert searched == [0b111, 0b101]
+    assert g._components == {0b111: 1, 0b101: 2}
+
+
 def test_the_low_degree_self_check_runs_on_a_memo_hit():
     g = examples.path(3)
     h = mask_reduced_homology(g, 0b111, 2)
