@@ -8,8 +8,10 @@ direction lambda are exactly the span-closed proper subsets of the
 columns.  Finite generation and FP_n of the kernel aggregate over those
 patterns.  A depth-first walk over the independent column subsets
 carries each subset's integer nullspace basis, one elimination step
-from its parent's, with its dots with every column: the zero dots give
-the subset's closure, and their combinations the certificate.
+(``_add_column``) from its parent's, with its dots with every column:
+the zero dots give the subset's closure, and their combinations the
+certificate.  That step is the only elimination here: the matrix rank
+is the number of steps a greedy walk down the same tree takes.
 
 All arithmetic is exact and integer-only: fraction-free elimination
 over Python's arbitrary-precision integers, no rationals and no
@@ -96,48 +98,52 @@ class ZeroPattern(Frozen):
         object.__setattr__(self, "certificate", tuple(certificate))
 
 
-def _int_echelon(rows):
-    """Fraction-free (Bareiss) row echelon form; returns (rows, rank).
-
-    Divisions are exact by the Bareiss determinant identity; rows below
-    the rank come out zero.
-    """
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0]) if rows else 0
-    rank, prev = 0, 1
-    for c in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][c]
-        for r in range(rank + 1, len(rows)):
-            rc = rows[r][c]
-            rows[r] = [(rows[r][j] * pv - rows[rank][j] * rc) // prev
-                       for j in range(ncols)]
-        prev = pv
-        rank += 1
-    return rows[:rank], rank
-
-
 def matrix_rank(m: CoabelianSpec) -> int:
-    """Rank of the defining matrix over the rationals."""
-    return _int_echelon(m.rows)[1]
+    """Rank of the defining matrix over the rationals: k less the rows
+    left after adding, in vertex order, every column whose carried dot
+    is still nonzero."""
+    cols = [m.column(v) for v in m.vertices]
+    rows = next(_subset_tree(cols, m.k))[1]     # the unit vectors
+    for j in range(len(cols)):
+        if any(r[m.k + j] for r in rows):
+            rows = _add_column(rows, m.k, j)
+    return m.k - len(rows)
 
 
-def _subset_tree(cols, k, depth):
+def _add_column(rows, k, j):
+    """The rows carried by a subset once column j, with a nonzero dot in
+    some row, joins it: pivot on the first such row; every other row v
+    becomes a*v - x*pivot (a, x their dots at j), divided by its
+    vector's gcd and the sign of a."""
+    pivot = next(r for r in rows if r[k + j])
+    a = pivot[k + j]
+    child = []
+    for r in rows:
+        if r is pivot:
+            continue
+        x = r[k + j]
+        if x:
+            r = [a * y - x * q for y, q in zip(r, pivot)]
+            g = gcd(*r[:k]) if a > 0 else -gcd(*r[:k])
+            r = [y // g for y in r]
+        child.append(r)
+    return child
+
+
+def _subset_tree(cols, k):
     """Every independent subset of the columns ``cols`` (k entries each)
-    of size at most depth, depth first, as (subset, rows, closure).
+    of size below k, or the empty one if k = 0, depth first, as
+    (subset, rows, closure).
 
     Each row is a vector of the subset's canonical nullspace basis (the
     primitive vector per free coordinate f of the reduced row echelon
     form that is positive at f and 0 at the other free coordinates, so
     it depends only on the span) followed by its dots with every column;
     the closure lists the columns where every dot is 0.  The empty
-    subset carries the unit vectors.  Adding column j (not in the
-    closure, so the subset stays independent) pivots on the first row
-    with a nonzero dot at j; every other row v becomes a*v - x*pivot
-    (a, x their dots at j), divided by its vector's gcd and sign of a.
+    subset carries the unit vectors, and adding a column not in the
+    closure (so the subset stays independent) is one ``_add_column``
+    step.  A subset carrying one row has no children: a child would
+    carry none, so its closure would be every column.
     """
     units = [[int(i == f) for i in range(k)] + [col[f] for col in cols]
              for f in range(k)]
@@ -149,24 +155,11 @@ def _subset_tree(cols, k, depth):
                         enumerate(islice(zip(zero, *rows), k, None))
                         if not any(dots))
         yield subset, rows, closure
-        if len(subset) == depth:
+        if len(rows) == 1:
             continue
         for j in range(subset[-1] + 1 if subset else 0, len(cols)):
-            if j in closure:
-                continue
-            pivot = next(r for r in rows if r[k + j])
-            a = pivot[k + j]
-            child = []
-            for r in rows:
-                if r is pivot:
-                    continue
-                x = r[k + j]
-                if x:
-                    r = [a * y - x * q for y, q in zip(r, pivot)]
-                    g = gcd(*r[:k]) if a > 0 else -gcd(*r[:k])
-                    r = [y // g for y in r]
-                child.append(r)
-            stack.append((subset + (j,), child))
+            if j not in closure:
+                stack.append((subset + (j,), _add_column(rows, k, j)))
 
 
 def enumerate_patterns(m: CoabelianSpec) -> list:
@@ -174,14 +167,11 @@ def enumerate_patterns(m: CoabelianSpec) -> list:
 
     A pattern is realizable by a nonzero rational direction iff it is
     span-closed and proper; every such pattern is the closure of an
-    independent column subset of size below the matrix rank, so closures
-    of the subsets of those sizes cover them all.  A subset of size equal
-    to the rank adds nothing: independent, it spans every column and its
-    closure is not proper; dependent, its closure is that of a smaller
-    independent subset.  The basis ``_subset_tree`` carries at the first
-    subset reaching a closure, the same at every subset with that
-    closure, gives the certificate.  Output is sorted by size then
-    vertex order.
+    independent column subset, so the proper closures ``_subset_tree``
+    reaches cover them all.  With none, every column is zero: the matrix
+    has rank 0.  The basis ``_subset_tree`` carries at the first subset
+    reaching a closure, the same at every subset with that closure,
+    gives the certificate.  Output is sorted by size then vertex order.
 
     The patterns are computed and their certificates verified on the
     first call for m and kept on m; every call returns a new list of
@@ -189,14 +179,14 @@ def enumerate_patterns(m: CoabelianSpec) -> list:
     """
     if m._patterns is not None:
         return list(m._patterns)
-    rank = matrix_rank(m)
-    if rank == 0:
-        raise FiniteQuotientError(
-            "matrix has rank 0: the quotient is finite, no rank-one quotients")
     cols = [m.column(v) for v in m.vertices]
     flats = {}
-    for _, rows, closure in _subset_tree(cols, m.k, rank - 1):
-        flats.setdefault(closure, rows)
+    for _, rows, closure in _subset_tree(cols, m.k):
+        if len(closure) < len(cols):
+            flats.setdefault(closure, rows)
+    if not flats:
+        raise FiniteQuotientError(
+            "matrix has rank 0: the quotient is finite, no rank-one quotients")
     ordered = sorted(flats, key=lambda zs: (len(zs), zs))
     patterns = tuple(_certify(m, cols, zs, flats[zs]) for zs in ordered)
     object.__setattr__(m, "_patterns", patterns)
@@ -281,9 +271,10 @@ def is_full(g: SimplicialGraph, m: CoabelianSpec) -> dict:
 
     A factor that is not a clique always meets the kernel (its derived
     subgroup does); a clique factor on t vertices meets it iff the
-    matrix restricted to those columns has rank below t.  When the
-    kernel is both full and finitely generated the block's note is the
-    structural remark that the quotient is finite-by-abelian.
+    matrix restricted to those columns has rank below t.  Every clique
+    factor has t = 1, so that rank is 0 or 1.  When the kernel is both
+    full and finitely generated the block's note is the structural
+    remark that the quotient is finite-by-abelian.
     """
     _check_columns(g, m)
     factors = []
@@ -294,15 +285,19 @@ def is_full(g: SimplicialGraph, m: CoabelianSpec) -> dict:
                 "reason": "not a clique: the factor's derived subgroup "
                           "lies in the kernel"})
             continue
-        _, rank = _int_echelon([m.column(v) for v in factor])
-        hits = rank < len(factor)
+        # a join factor is a component of the complement graph, so one
+        # of two or more vertices holds a non-edge: a clique factor is a
+        # single vertex, and meets the kernel iff its column is zero
+        (v,) = factor
+        rank = int(any(m.column(v)))
         factors.append({
-            "factor": list(factor), "is_clique": True, "intersects": hits,
+            "factor": [v], "is_clique": True, "intersects": not rank,
             "reason": f"clique factor: restricted column rank {rank} "
-                      f"{'<' if hits else '='} {len(factor)}"})
+                      f"{'=' if rank else '<'} 1"})
     full = all(f["intersects"] for f in factors)
     note = None
-    if full and matrix_rank(m) >= 1 and fg_coabelian(g, m)["fg"]:
+    # a zero matrix has no zero pattern to aggregate over
+    if full and any(map(any, m.rows)) and fg_coabelian(g, m)["fg"]:
         note = "G/N is finite-by-abelian"
     return {"full": full, "factors": factors, "note": note}
 

@@ -69,7 +69,7 @@ class ChainComplexFp:
     ``dd_violation`` checks it.
     """
 
-    __slots__ = ("p", "lo", "hi", "dims", "boundaries", "_homology")
+    __slots__ = ("p", "lo", "hi", "dims", "boundaries")
 
     def __init__(self, p, lo, hi, dims, boundaries):
         check_prime(p)
@@ -80,7 +80,6 @@ class ChainComplexFp:
         self.hi = hi
         self.dims = {n: int(dims.get(n, 0)) for n in range(lo, hi + 1)}
         self.boundaries = dict(boundaries)
-        self._homology = None
         for n, m in self.boundaries.items():
             if not (lo < n <= hi):
                 raise ValueError(f"boundary degree out of range: {n}")
@@ -103,19 +102,16 @@ class ChainComplexFp:
     def homology(self) -> dict:
         """Dimension of ker d_n / im d_(n+1) for lo <= n <= hi, in one
         clearing pass over the columns of each d_n that are not lows."""
-        if self._homology is None:
-            def columns(k, cleared):
-                m = self.boundaries.get(self.lo + k)
-                if m is None:
-                    return []
-                return [col for j, col in enumerate(m.columns)
-                        if j not in cleared]
+        def columns(k, cleared):
+            m = self.boundaries.get(self.lo + k)
+            if m is None:
+                return []
+            return [col for j, col in enumerate(m.columns) if j not in cleared]
 
-            h = _clearing_pass(
-                self.p, self.lo,
-                [self.dims[n] for n in range(self.lo, self.hi + 1)], columns)
-            self._homology = dict(enumerate(h, self.lo))
-        return dict(self._homology)
+        h = _clearing_pass(
+            self.p, self.lo,
+            [self.dims[n] for n in range(self.lo, self.hi + 1)], columns)
+        return dict(enumerate(h, self.lo))
 
 
 def _clearing_pass(p: int, lo: int, sizes: list, columns) -> list:

@@ -10,12 +10,12 @@ from graphref import is_connected, is_dominant
 from test_fpcheck import planted_torsion
 
 from raagfp import cli, coabelian, fpcheck
-from raagfp.coabelian import (CoabelianSpec, ZeroPattern, _int_echelon,
-                              _subset_tree, enumerate_patterns, fg_coabelian,
-                              fpn_coabelian, is_full, matrix_rank,
-                              parse_matrix)
+from raagfp.coabelian import (CoabelianSpec, ZeroPattern, _subset_tree,
+                              enumerate_patterns, fg_coabelian, fpn_coabelian,
+                              is_full, matrix_rank, parse_matrix)
 from raagfp.errors import FiniteQuotientError, SchemaError
-from raagfp.graph import SimplicialGraph, graph_document, induced_subgraph
+from raagfp.graph import (SimplicialGraph, graph_document, induced_subgraph,
+                          join_factors)
 
 
 def spec_for(g, rows, p=2):
@@ -85,38 +85,45 @@ def rational_closure(cols, subset) -> tuple:
     return tuple(closed)
 
 
-def rational_tree(cols) -> dict:
-    """Every independent subset of the columns, with its closure: each
-    one grown from a smaller one by a column outside its rational span."""
+def rational_tree(cols, width) -> dict:
+    """Every independent subset of the columns (width entries each) of
+    size below width, with its closure: each one grown from a smaller
+    one by a column outside its rational span.  One of size width spans
+    every column, so none is grown that far."""
     tree, todo = {}, [()]
     while todo:
         subset = todo.pop()
         tree[subset] = closed = rational_closure(cols, subset)
-        todo.extend(subset + (j,) for j in range(len(cols))
-                    if j not in closed and j > max(subset, default=-1))
+        if len(subset) + 1 < width:
+            todo.extend(subset + (j,) for j in range(len(cols))
+                        if j not in closed and j > max(subset, default=-1))
     return tree
 
 
 def test_integer_elimination_against_rational_oracle():
-    # the rows of a system are the columns the subset tree walks: it
-    # visits exactly the independent subsets, each with the closure the
-    # rational rank gives and carrying width - size vectors, whose
-    # carried dots are their dots with every row
+    # the rank is the number of steps of a greedy path down the subset
+    # tree, on the matrix and on its transpose; the rows of a system are
+    # the columns the subset tree walks: it visits exactly the
+    # independent subsets that leave a carried vector, each with the
+    # closure the rational rank gives and carrying width - size
+    # vectors, whose carried dots are their dots with every row
     rng = random.Random("bareiss")
     for _ in range(400):
         nr = rng.randint(0, 6)
-        nc = rng.randint(1, 6)
+        nc = rng.randint(0, 6)
         rows = [[rng.randint(-6, 6) for _ in range(nc)] for _ in range(nr)]
         if nr >= 2 and rng.random() < 0.5:     # inject dependent rows
             i, j = rng.randrange(nr), rng.randrange(nr)
             if i != j:
                 rows[i] = [a * rng.randint(-2, 2) for a in rows[j]]
-        ech, rank = _int_echelon(rows)
-        assert rank == frac_rank(rows)
-        visits = list(_subset_tree(rows, nc, nr))
+        rank = frac_rank(rows)
+        transpose = [[row[j] for row in rows] for j in range(nc)]
+        assert matrix_rank(CoabelianSpec(2, rows, range(nc))) == rank
+        assert matrix_rank(CoabelianSpec(2, transpose, range(nr))) == rank
+        visits = list(_subset_tree(rows, nc))
         tree = {subset: closure for subset, _, closure in visits}
-        assert len(tree) == len(visits) and tree == rational_tree(rows)
-        assert max(map(len, tree)) == rank
+        assert len(tree) == len(visits) and tree == rational_tree(rows, nc)
+        assert max(map(len, tree)) == min(rank, max(nc - 1, 0))
         for subset, carried, closure in visits:
             assert len(carried) == nc - len(subset)
             for r in carried:
@@ -127,8 +134,8 @@ def test_integer_elimination_against_rational_oracle():
 def nullspace_fraction(rows, width):
     """Rational back substitution, then the lcm of the denominators: the
     reference for the integer nullspace bases the subset tree carries."""
-    ech, rank = _int_echelon(rows)
-    pivots = [next(j for j, x in enumerate(row) if x) for row in ech]
+    ech, pivots = frac_rref(rows)
+    rank = len(pivots)
     free = [j for j in range(width) if j not in pivots]
     basis = []
     for f in free:
@@ -163,7 +170,7 @@ def test_nullspace_against_rational_back_substitution():
             i, j, t = rng.randrange(nr), rng.randrange(nr), rng.randrange(nr)
             rows[i] = [rng.randint(-3, 3) * a + rng.randint(-3, 3) * b
                        for a, b in zip(rows[j], rows[t])]
-        for subset, carried, closure in _subset_tree(rows, width, nr):
+        for subset, carried, closure in _subset_tree(rows, width):
             basis = carried_basis(carried, width)
             assert basis == nullspace_fraction([rows[j] for j in subset], width)
             # and that of its closure, dependent rows included
@@ -185,10 +192,20 @@ def test_nullspace_against_rational_back_substitution():
 # span closure, through the closures the subset tree carries
 
 def subset_tree(m) -> dict:
-    """Every independent column subset -> (carried rows, closure)."""
+    """Every independent column subset of size below k -> (carried rows,
+    closure)."""
     cols = [m.column(v) for v in m.vertices]
     return {s: (rows, closure)
-            for s, rows, closure in _subset_tree(cols, m.k, len(cols))}
+            for s, rows, closure in _subset_tree(cols, m.k)}
+
+
+def tree_node(m, tree, subset) -> tuple:
+    """(carried rows, closure) at an independent subset.  The tree stops
+    at one carried row: a subset of size k carries none and its closure
+    is every column."""
+    if len(subset) == m.k:
+        return [], tuple(range(len(m.vertices)))
+    return tree[subset]
 
 
 def greedy_subset(m, tree, z) -> tuple:
@@ -196,7 +213,7 @@ def greedy_subset(m, tree, z) -> tuple:
     yet in the closure, in vertex order: a path down the subset tree."""
     subset = ()
     for j, v in enumerate(m.vertices):
-        if v in z and j not in tree[subset][1]:
+        if v in z and j not in tree_node(m, tree, subset)[1]:
             subset += (j,)
     return subset
 
@@ -206,7 +223,7 @@ def span_closure(m, z) -> frozenset:
     of the vertex set z: the closure the subset tree carries at z's
     greedy subset."""
     tree = subset_tree(m)
-    closure = tree[greedy_subset(m, tree, z)][1]
+    closure = tree_node(m, tree, greedy_subset(m, tree, z))[1]
     return frozenset(m.vertices[j] for j in closure)
 
 
@@ -214,11 +231,15 @@ def test_span_closure_examples():
     g = examples.edgeless(2)
     ident = spec_for(g, [[1, 0], [0, 1]])
     assert span_closure(ident, set()) == frozenset()
+    assert span_closure(ident, {"v2"}) == {"v2"}
+    assert span_closure(ident, {"v1", "v2"}) == {"v1", "v2"}
     line = spec_for(g, [[1, 1]])
     assert span_closure(line, set()) == frozenset()
     assert span_closure(line, {"v1"}) == {"v1", "v2"}
     with_zero = spec_for(g, [[1, 0], [0, 0]])
     assert span_closure(with_zero, set()) == {"v2"}
+    no_rows = CoabelianSpec(2, [], g.vertices)
+    assert span_closure(no_rows, set()) == {"v1", "v2"}
 
 
 def test_span_closure_against_rational_rank():
@@ -244,7 +265,7 @@ def test_nullspace_depends_only_on_the_span():
         m = dependent_spec(rng, rng.randint(1, 7), rng.randint(1, 4))
         cols = [m.column(v) for v in m.vertices]
         first = {}
-        for subset, carried, closure in _subset_tree(cols, m.k, len(cols)):
+        for subset, carried, closure in _subset_tree(cols, m.k):
             basis = carried_basis(carried, m.k)
             first.setdefault(closure, basis)
             assert basis == first[closure] == \
@@ -252,7 +273,7 @@ def test_nullspace_depends_only_on_the_span():
             compared += len(closure) > len(subset)
         z = rng.sample(m.vertices, rng.randint(0, len(m.vertices)))
         tree = subset_tree(m)
-        carried = tree[greedy_subset(m, tree, z)][0]
+        carried = tree_node(m, tree, greedy_subset(m, tree, z))[0]
         assert carried_basis(carried, m.k) == \
             nullspace_fraction([m.column(v) for v in z], m.k)
     assert compared > 50
@@ -387,10 +408,18 @@ def test_an_enumerated_spec_equals_and_hashes_like_a_fresh_one():
 
 
 def test_a_rank_zero_spec_raises_on_every_call():
-    m = spec_for(examples.path(3), [[0, 0, 0], [0, 0, 0]])
-    for _ in range(3):
-        with pytest.raises(FiniteQuotientError):
-            enumerate_patterns(m)
+    # the rank is 0 when the walk finds no proper closure, also with no
+    # rows at all; nothing is kept on the spec
+    g = examples.path(3)
+    for m in (spec_for(g, [[0, 0, 0], [0, 0, 0]]),
+              CoabelianSpec(2, [], g.vertices)):
+        assert matrix_rank(m) == 0
+        for _ in range(3):
+            with pytest.raises(FiniteQuotientError,
+                               match="matrix has rank 0: the quotient is "
+                                     "finite, no rank-one quotients"):
+                enumerate_patterns(m)
+            assert m._patterns is None
 
 
 def test_one_coabelian_command_enumerates_the_patterns_once(
@@ -607,6 +636,41 @@ def test_coabelian_verdicts_against_dead_zero_sets_on_planted_torsion(
     assert len(verdicts) > 1
 
 # fullness
+
+def test_is_full_against_clique_factor_ranks():
+    # the general statement: a clique factor on t vertices meets the
+    # kernel iff its columns have rational rank below t; every clique
+    # factor has t = 1
+    rng = random.Random("fullness")
+    cliques = 0
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        vs = [f"v{i}" for i in range(1, n + 1)]
+        g = SimplicialGraph(vs, [e for e in combinations(vs, 2)
+                                 if rng.random() < rng.random()])
+        m = dependent_spec(rng, n, rng.randint(1, 3))
+        if rng.random() < 0.2:
+            m = CoabelianSpec(2, [[0] * n], m.vertices)
+        rep = is_full(g, m)
+        assert [f["factor"] for f in rep["factors"]] == \
+            [list(f) for f in join_factors(g)]
+        for f in rep["factors"]:
+            t = len(f["factor"])
+            assert f["is_clique"] == g.is_clique(f["factor"])
+            if not f["is_clique"]:
+                assert f["intersects"]
+                continue
+            assert t == 1
+            cliques += 1
+            rank = frac_rank([m.column(v) for v in f["factor"]])
+            assert f["intersects"] == (rank < t)
+            assert f["reason"] == ("clique factor: restricted column rank "
+                                   f"{rank} {'<' if rank < t else '='} {t}")
+        assert rep["full"] == all(f["intersects"] for f in rep["factors"])
+        fg = frac_rank(m.rows) > 0 and fg_coabelian(g, m)["fg"]
+        assert (rep["note"] is not None) == (rep["full"] and fg)
+    assert cliques > 100
+
 
 def test_is_full_k2_identity_line():
     k2 = examples.path(2)
