@@ -61,26 +61,20 @@ def _graph(path: str, parse=parse_graph) -> tuple:
 
 
 def _render_text(doc, indent=0) -> list:
-    """One line per scalar, nested containers indented under their key
-    or ``-``; an empty list or dict prints as ``[]`` or ``{}``."""
-    lines = []
+    """One line per scalar, nested containers indented under their
+    ``key:`` or ``-``; an empty list or dict prints as ``[]`` or ``{}``."""
     pad = "  " * indent
     if isinstance(doc, dict):
-        for key, val in doc.items():
-            if val and isinstance(val, (dict, list)):
-                lines.append(f"{pad}{key}:")
-                lines.extend(_render_text(val, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {_text_scalar(val)}")
-    elif isinstance(doc, list):
-        for val in doc:
-            if val and isinstance(val, (dict, list)):
-                lines.append(f"{pad}-")
-                lines.extend(_render_text(val, indent + 1))
-            else:
-                lines.append(f"{pad}- {_text_scalar(val)}")
+        entries = ((f"{key}:", val) for key, val in doc.items())
     else:
-        lines.append(f"{pad}{doc}")
+        entries = (("-", val) for val in doc)
+    lines = []
+    for label, val in entries:
+        if val and isinstance(val, (dict, list)):
+            lines.append(pad + label)
+            lines.extend(_render_text(val, indent + 1))
+        else:
+            lines.append(f"{pad}{label} {_text_scalar(val)}")
     return lines
 
 
@@ -92,13 +86,13 @@ def _text_scalar(val) -> str:
 
 def render_json(doc, pad: str = "") -> str:
     """``json.dumps(doc, indent=2)``, byte for byte, nested one level
-    deeper than ``pad``.
+    deeper than ``pad``, for a report: str, int, bool and None inside
+    lists and dicts with string keys.
 
     ``indent`` makes json.dumps fall back to its pure-Python encoder.
-    Here strings go through the C ``encode_basestring_ascii``, integers,
-    booleans and None are spelled as json.dumps spells them, and
-    anything else that is not a list or a dict with string keys is
-    handed to json.dumps itself.
+    Here strings go through the C ``encode_basestring_ascii``, and
+    integers, booleans and None are spelled as json.dumps spells them.
+    Any other type, or a key that is not a string, raises TypeError.
     """
     kind = type(doc)
     if kind is str:
@@ -115,15 +109,14 @@ def render_json(doc, pad: str = "") -> str:
             return "[]"
         return ("[\n" + ",\n".join([inner + render_json(v, inner) for v in doc])
                 + "\n" + pad + "]")
-    if kind is dict and all(type(k) is str for k in doc):
-        if not doc:
-            return "{}"
-        return ("{\n" + ",\n".join([inner + encode_basestring_ascii(k) + ": "
-                                    + render_json(v, inner)
-                                    for k, v in doc.items()])
-                + "\n" + pad + "}")
-    # JSON escapes every newline inside a string, so these are line breaks
-    return json.dumps(doc, indent=2).replace("\n", "\n" + pad)
+    if kind is not dict:
+        raise TypeError(f"a report holds no {kind.__name__}")
+    if not doc:
+        return "{}"
+    return ("{\n" + ",\n".join([inner + encode_basestring_ascii(k) + ": "
+                                + render_json(v, inner)
+                                for k, v in doc.items()])
+            + "\n" + pad + "}")
 
 
 def _graph_and_character(args):
@@ -200,6 +193,12 @@ def cmd_coabelian(args) -> tuple:
     if args.max_n is not None:
         results.update(coabelian.fpn_coabelian(g, m, args.max_n))
         verdict = verdict and results["fp"]
+        # fg read two ways: connected and dominant support, and h_1 = 0
+        for row, fpn_row in zip(results["patterns"], results["per_pattern"]):
+            if row["fg"] != fpn_row["report"]["fg"]:
+                raise InternalDefect(
+                    f"zero set {row['zero_set']!r}: fg is {row['fg']} by "
+                    f"connectivity and dominance, {not row['fg']} by h_1")
     results["fullness"] = coabelian.is_full(g, m)
     inputs = {"graph_sha256": sha256, "p": m.p,
               "matrix": [list(r) for r in m.rows]}
@@ -301,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        for name in ("max_n", "trials", "max_vertices", "jobs"):  # counts
+        for name in ("max_n", "trials", "max_vertices", "jobs", "index"):
             value = getattr(args, name, None)
             if value is not None and value < 1:
                 flag = "--" + name.replace("_", "-")
@@ -314,9 +313,6 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(render_json(doc) + "\n")
         return code
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
     except (EpimorphismError, FiniteQuotientError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INAPPLICABLE

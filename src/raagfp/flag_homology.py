@@ -63,10 +63,10 @@ class ChainComplexFp:
     """Graded F_p vector spaces with boundary maps d_n: degree n -> n-1.
 
     ``dims`` maps each degree in [lo, hi] to its basis size and
-    ``boundaries[n]`` holds d_n for lo < n <= hi (absent means zero).
-    The clearing pass that ranks the boundaries needs d_n . d_(n+1) = 0;
-    every complex this module builds satisfies it in every degree, and
-    ``dd_violation`` checks it.
+    ``boundaries[n]`` holds d_n for lo < n <= hi; an absent d_n is the
+    zero map.  The clearing pass that ranks the boundaries needs
+    d_n . d_(n+1) = 0; every complex this module builds satisfies it in
+    every degree, and ``dd_violation`` checks it.
     """
 
     __slots__ = ("p", "lo", "hi", "dims", "boundaries")
@@ -87,15 +87,13 @@ class ChainComplexFp:
                 raise ValueError(f"boundary {n} has shape {(m.rows, m.cols)}, "
                                  f"expected {(self.dims[n - 1], self.dims[n])}")
 
-    def boundary(self, n: int) -> MatrixFp:
-        """d_n, materialized as a zero matrix when absent."""
-        return self.boundaries.get(n) or MatrixFp(
-            self.dims.get(n - 1, 0), self.dims.get(n, 0), self.p)
-
     def dd_violation(self):
-        """First degree n with d_n . d_(n+1) != 0, else None."""
+        """First degree n with d_n . d_(n+1) != 0, else None.  A degree
+        where either map is absent is skipped: a zero map composes to
+        zero."""
         for n in range(self.lo + 1, self.hi):
-            if not self.boundary(n).mul(self.boundary(n + 1)).is_zero():
+            d, d_up = self.boundaries.get(n), self.boundaries.get(n + 1)
+            if d and d_up and not d.mul(d_up).is_zero():
                 return n
         return None
 
@@ -132,8 +130,8 @@ def _clearing_pass(p: int, lo: int, sizes: list, columns) -> list:
     lows = set()                        # lows of the boundary one degree up
     for k in range(len(sizes) - 1, 0, -1):
         cleared, lows = lows, set()
-        ranks[k] = rank_fp(MatrixFp.from_columns(sizes[k - 1], p,
-                                                 columns(k, cleared)), lows=lows)
+        ranks[k] = rank_fp(MatrixFp(sizes[k - 1], p, columns(k, cleared)),
+                           lows=lows)
     h = []
     for k, size in enumerate(sizes):
         dim = size - ranks[k] - ranks[k + 1]
@@ -157,7 +155,7 @@ def _clique_complex(groups, p: int, lo: int, removable=None) -> ChainComplexFp:
     for k in range(1, len(groups)):
         index_below = {c: i for i, c in enumerate(groups[k - 1])}
         signs = [1 if pos % 2 == 0 else p - 1 for pos in range(k)]
-        boundaries[lo + k] = MatrixFp.from_columns(len(groups[k - 1]), p, [
+        boundaries[lo + k] = MatrixFp(len(groups[k - 1]), p, [
             {index_below[c[:pos] + c[pos + 1:]]: sign
              for pos, sign in enumerate(signs)
              if removable is None or c[pos] in removable}

@@ -2,9 +2,9 @@
 
 A matrix is stored by column: one {row: value} dict per column, with
 values in 1..p-1 and zeros absent, so arithmetic is exact by
-construction.  ``MatrixFp(rows, cols, p)`` is the zero matrix, and
-``MatrixFp.from_columns`` takes columns already in that form.  Rank is
-a sparse column reduction, the one persistent homology uses
+construction.  ``MatrixFp(rows, p, columns)``, the one constructor,
+takes columns already in that form.  Rank is a sparse column
+reduction, the one persistent homology uses
 (Edelsbrunner-Letscher-Zomorodian; Bauer's Ripser):
 columns are reduced left to right against a dict of pivot columns keyed
 by their largest row index (their low).  Any prime p < 2**31 works.
@@ -44,27 +44,15 @@ class MatrixFp:
     ``columns[j]`` maps the row key of each nonzero entry of column j
     to its value in 1..p-1.  Row keys are any ints, ordered as ints
     (``rows`` counts them); ``mul`` takes 0..rows-1.  The constructor
-    gives the zero matrix of that shape.
+    takes the columns as they are, so cols is ``len(columns)``: a list
+    of empty dicts gives the zero matrix.
     """
 
     __slots__ = ("rows", "cols", "p", "columns")
 
-    def __init__(self, rows: int, cols: int, p: int):
-        check_prime(p)
-        if rows < 0 or cols < 0:
-            raise ValueError("matrix dimensions must be non-negative")
-        self.rows = rows
-        self.cols = cols
-        self.p = p
-        self.columns = [{} for _ in range(cols)]
-
-    @classmethod
-    def from_columns(cls, rows: int, p: int, columns: list) -> "MatrixFp":
-        """The matrix with these columns, taken as they are: ``rows``
-        distinct row keys in all, and every value in 1..p-1."""
-        m = cls.__new__(cls)
-        m.rows, m.cols, m.p, m.columns = rows, len(columns), check_prime(p), columns
-        return m
+    def __init__(self, rows: int, p: int, columns: list):
+        self.rows, self.cols, self.p, self.columns = \
+            rows, len(columns), check_prime(p), columns
 
     def is_zero(self) -> bool:
         return not any(self.columns)
@@ -83,7 +71,7 @@ class MatrixFp:
                 for i, va in self.columns[k].items():
                     acc[i] = (acc.get(i, 0) + va * vb) % p
             out.append({i: v for i, v in acc.items() if v})
-        return MatrixFp.from_columns(self.rows, p, out)
+        return MatrixFp(self.rows, p, out)
 
     def __eq__(self, other):
         return (isinstance(other, MatrixFp) and self.rows == other.rows

@@ -37,6 +37,8 @@ class GraphOfFiniteGroups(Frozen):
     """Finite connected multigraph with positive orders per vertex and
     edge; loops and parallel edges allowed.  Each edge order divides
     both endpoint orders (the edge group embeds in the vertex groups).
+    The constructor takes the vertex orders as ``(id, order)`` pairs
+    and the edges as ``GogEdge`` values.
 
     ``orders`` is a read-only view of a private copy of the vertex
     orders and ``edges`` a tuple sorted by id, so a graph of groups
@@ -59,8 +61,6 @@ class GraphOfFiniteGroups(Frozen):
         seen = set()
         norm = []
         for e in edges:
-            if not isinstance(e, GogEdge):
-                e = GogEdge(*e)
             if e.id in seen:
                 raise SchemaError(f"duplicate edge id: {e.id!r}")
             seen.add(e.id)

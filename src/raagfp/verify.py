@@ -22,10 +22,11 @@ from .graph import (SimplicialGraph, enumerate_cliques, graph_document,
                     induced_subgraph)
 
 
-def random_graph(rng: random.Random, max_vertices: int, min_vertices: int = 1,
-                 density=None) -> SimplicialGraph:
-    n = rng.randint(min_vertices, max_vertices)
-    d = rng.uniform(0.2, 0.8) if density is None else density
+def random_graph(rng: random.Random, max_vertices: int) -> SimplicialGraph:
+    """A graph on v1..vn, n drawn from 1..max_vertices, each edge kept
+    with one probability drawn from [0.2, 0.8], in that order."""
+    n = rng.randint(1, max_vertices)
+    d = rng.uniform(0.2, 0.8)
     vs = [f"v{i}" for i in range(1, n + 1)]
     edges = [(a, b) for i, a in enumerate(vs) for b in vs[i + 1:]
              if rng.random() < d]
@@ -183,7 +184,7 @@ def trial_gog_bounds(rng, max_vertices):
     return None
 
 
-def trial_pattern_completeness(rng, max_vertices, samples=1000):
+def trial_pattern_completeness(rng, max_vertices):
     n = rng.randint(1, max_vertices)
     k = rng.randint(1, 3)
     vertices = tuple(f"v{i}" for i in range(1, n + 1))
@@ -195,7 +196,7 @@ def trial_pattern_completeness(rng, max_vertices, samples=1000):
     enumerated = {frozenset(pat.zero_set)
                   for pat in coabelian.enumerate_patterns(m)}
     cols = [m.column(v) for v in vertices]
-    for _ in range(samples):
+    for _ in range(1000):
         lam = [rng.randint(-9, 9) for _ in range(k)]
         if not any(lam):
             continue
@@ -218,10 +219,11 @@ SUITES = {
 }
 
 
-def run_all(seed: int = 0, trials: int = 100, max_vertices: int = 7) -> list:
+def run_all(seed: int, trials: int, max_vertices: int) -> list:
     """Every suite's block of the ``verify`` report, in ``SUITES`` order:
     up to ``trials`` trials on the suite's stream seeded by ``seed``,
-    stopping at the first failure."""
+    stopping at the first failure.  The command line holds the only
+    defaults."""
     blocks = []
     for name, (stream, trial) in SUITES.items():
         rng = random.Random(f"{stream}:{seed}")

@@ -11,7 +11,7 @@ def from_rows(dense, p: int) -> MatrixFp:
         raise ValueError("ragged rows")
     columns = [{i: row[j] % p for i, row in enumerate(dense) if row[j] % p}
                for j in range(nc)]
-    return MatrixFp.from_columns(len(dense), p, columns)
+    return MatrixFp(len(dense), p, columns)
 
 
 def to_dense(m: MatrixFp) -> list:
@@ -48,8 +48,9 @@ def dense_rank(rows, p):
 
 def dense_homology(cx) -> dict:
     """The homology of a ChainComplexFp from its dims and the dense
-    ranks of its boundaries: dims[n] - rank d_n - rank d_(n+1)."""
-    rank = {n: dense_rank(to_dense(cx.boundary(n)), cx.p)
-            for n in range(cx.lo, cx.hi + 2)}
+    ranks of its boundaries: dims[n] - rank d_n - rank d_(n+1), where
+    an absent d_n has rank 0."""
+    rank = {n: dense_rank(to_dense(cx.boundaries[n]), cx.p)
+            if n in cx.boundaries else 0 for n in range(cx.lo, cx.hi + 2)}
     return {n: cx.dims[n] - rank[n] - rank[n + 1]
             for n in range(cx.lo, cx.hi + 1)}

@@ -44,7 +44,7 @@ def crit2_instances():
 def crit3_instances():
     rng = random.Random("acceptance:decomposition")
     for _ in range(500):
-        g = random_graph(rng, 8, min_vertices=1)
+        g = random_graph(rng, 8)
         for _ in range(3):
             base = random_character(rng, g, 2, nonzero=False)
             for p in (2, 3):
@@ -115,7 +115,7 @@ def test_criterion_4_chain_complexes_square_to_zero():
 def test_criterion_5_zero_pattern_invariance():
     rng = random.Random("acceptance:invariance")
     for _ in range(100):
-        g = random_graph(rng, 7, min_vertices=1)
+        g = random_graph(rng, 7)
         p = rng.choice((2, 3, 5))
         chi = random_character(rng, g, p)
         fresh = {v: (0 if c == 0 else rng.choice((1, -1, 2, p, -p, p * p, 7)))
@@ -133,7 +133,7 @@ def test_criterion_6_coabelian_aggregation():
 
     # k = 1 agrees with the single-character analysis
     for _ in range(100):
-        g = random_graph(rng, 6, min_vertices=1)
+        g = random_graph(rng, 6)
         row = [rng.randint(-3, 3) for _ in g.vertices]
         if not any(row):
             row[0] = 1
@@ -204,6 +204,15 @@ def test_criterion_7_gog_suite():
           f"({elapsed:.1f}s)")
 
 
+def graph_or_empty(rng, max_vertices):
+    """``random_graph``'s draws with 0 vertices allowed."""
+    n = rng.randint(0, max_vertices)
+    d = rng.uniform(0.2, 0.8)
+    vs = [f"v{i}" for i in range(1, n + 1)]
+    return SimplicialGraph(vs, [e for e in combinations(vs, 2)
+                                if rng.random() < d])
+
+
 def test_criterion_8_topology_sanity():
     for p in (2, 3, 5):
         h = reduced_homology(enumerate_cliques(examples.octahedron()), p)
@@ -213,7 +222,7 @@ def test_criterion_8_topology_sanity():
         assert not any(h.values())
     rng = random.Random("acceptance:cones")
     for _ in range(10):
-        base = random_graph(rng, 6, min_vertices=0)
+        base = graph_or_empty(rng, 6)
         cone = examples.join(base, SimplicialGraph(["apex"], []))
         h = reduced_homology(enumerate_cliques(cone), 2)
         assert not any(h.values())

@@ -204,8 +204,10 @@ def test_every_count_flag_below_one_exits_2_before_reading_a_file(capsys):
             ("verify", "--max-vertices", "0"),
             ("verify", "--max-vertices", "-1"),
             ("fpn", "--max-n", "0"), ("coabelian", "--max-n", "-1"),
-            ("table", "--jobs", "0"), ("table", "--jobs", "-1")):
-        files = {"verify": [], "table": missing[:1]}.get(command, missing)
+            ("table", "--jobs", "0"), ("table", "--jobs", "-1"),
+            ("gog", "--index", "0"), ("gog", "--index", "-2")):
+        files = {"verify": [], "table": missing[:1],
+                 "gog": missing[:1]}.get(command, missing)
         code = main([command, *files, flag, value])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == "", (command, flag, value)
@@ -398,6 +400,22 @@ def test_wrong_certificate_exits_as_internal_defect(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: internal defect")
 
 
+def test_fg_readings_that_disagree_exit_as_internal_defect(monkeypatch,
+                                                            capsys):
+    # with --max-n, coabelian reads fg off the support's connectivity and
+    # dominance and off h_1 = 0; the zero set [v2, v4] leaves the
+    # disconnected support {v1, v3}
+    from raagfp import fpcheck
+    monkeypatch.setattr(fpcheck, "connected_and_dominant",
+                        lambda g, supp: (True, True))
+    argv = ["coabelian", str(CORPUS / "cycle4.graph.json"),
+            str(CORPUS / "cycle4.dependent.matrix.json"), "--max-n", "2"]
+    assert main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: internal defect")
+    assert "['v2', 'v4']" in err
+
+
 def test_wrong_rank_exits_as_internal_defect_under_optimize():
     # python -O strips assert statements; the self-checks must survive
     script = ("import sys\n"
@@ -423,12 +441,25 @@ def test_wrong_rank_exits_as_internal_defect_under_optimize():
      "caf\u00e9": "\u00fcber \u2603 \U0001f600 \u0800", "": ""},
     ["\x1f\x7f", "</script>", "'single'", "\\u0041"],
     {"big": 2 ** 200, "neg": -1, "zero": 0, "bools": [True, False, None]},
-    {"float": 1.5, "inf": float("inf"), "tuple": (1, "a")},
-    {"nested": {"int keys": {1: "a", 2: [3]}, "bool key": {True: 0}}},
 ])
 def test_render_json_matches_json_dumps_indent_2(doc):
     from raagfp.cli import render_json
     assert render_json(doc) == json.dumps(doc, indent=2)
+
+
+def test_render_json_rejects_what_no_report_holds(monkeypatch, capsys):
+    from raagfp import fpcheck
+    from raagfp.cli import render_json
+    for doc in (1.5, float("inf"), {"tuple": (1, "a")}, [{1: "a"}],
+                {"nested": {"bool key": {True: 0}}}):
+        with pytest.raises(TypeError):
+            render_json(doc)
+    # the report is rendered whole before it is written
+    monkeypatch.setattr(fpcheck, "analyze",
+                        lambda *a, **kw: {"degrees": [], "x": [0.5]})
+    assert main(DEFECT_ARGV) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: internal defect: TypeError")
 
 
 def test_text_format(files, capsys):

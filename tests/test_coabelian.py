@@ -635,6 +635,47 @@ def test_coabelian_verdicts_against_dead_zero_sets_on_planted_torsion(
             verdicts.add(tuple(check_against_dead_zero_sets(g, m, movable)))
     assert len(verdicts) > 1
 
+
+def test_coabelian_verdicts_are_the_conjunction_over_hyperplanes():
+    # every proper flat lies in a hyperplane, a flat of rank r - 1, and a
+    # larger zero set never raises the FP level, so the patterns whose
+    # zero columns have rank r - 1 decide fg and every fp_k alone
+    rng = random.Random("hyperplanes")
+    kinds = set()
+    for _ in range(60):
+        n = rng.randint(1, 9)
+        vs = [f"v{i}" for i in range(1, n + 1)]
+        density = rng.uniform(0.2, 0.8)
+        g = SimplicialGraph(vs, [e for e in combinations(vs, 2)
+                                 if rng.random() < density])
+        m = dependent_spec(rng, n, rng.randint(1, 4))
+        m = CoabelianSpec(rng.choice((2, 3)), m.rows, m.vertices)
+        r = frac_rank(m.rows)
+        if r == 0:
+            continue
+        hyper = {pat.zero_set for pat in enumerate_patterns(m)
+                 if frac_rank([m.column(v) for v in pat.zero_set]) == r - 1}
+        assert hyper
+        fg = fg_coabelian(g, m)
+        assert fg["fg"] == all(row["fg"] for row in fg["patterns"]
+                               if tuple(row["zero_set"]) in hyper)
+        max_n = rng.randint(1, 3)
+        rep = fpn_coabelian(g, m, max_n)
+        for k in range(1, max_n + 1):
+            fp_k = [(tuple(row["zero_set"]) in hyper,
+                     row["report"]["degrees"][k - 1]["fp_complex"])
+                    for row in rep["per_pattern"]]
+            assert all(ok for _, ok in fp_k) == \
+                all(ok for in_hyper, ok in fp_k if in_hyper), (g, m, k)
+        assert rep["fp"] == all(row["report"]["degrees"][max_n - 1]
+                                ["fp_complex"] for row in rep["per_pattern"])
+        kinds.add((m.k == 1, r < m.k, fg["fg"], rep["fp"]))
+    # k = 1, rank-deficient specs, and both verdicts were all met
+    assert {kind[0] for kind in kinds} == {True, False}
+    assert any(kind[1] for kind in kinds)
+    assert {kind[2] for kind in kinds} == {kind[3] for kind in kinds} \
+        == {True, False}
+
 # fullness
 
 def test_is_full_against_clique_factor_ranks():

@@ -72,15 +72,15 @@ def test_character_complex_c4():
     assert cx.dims == {0: 1, 1: 4, 2: 4}
     assert cx.homology() == {0: 0, 1: 0, 2: 1}
     # full support: the degree-2 boundary is the plain edge boundary
-    simp = character_complex(c4, examples.ones_character(c4, 2)).boundary(2)
-    plain = simplicial_chain_complex(enumerate_cliques(c4), 2).boundary(1)
+    simp = character_complex(c4, examples.ones_character(c4, 2)).boundaries[2]
+    plain = simplicial_chain_complex(enumerate_cliques(c4), 2).boundaries[1]
     assert simp.columns == plain.columns
 
 
 def test_character_complex_p3_boundaries():
     p3 = examples.path(3)
     cx = character_complex(p3, chi_of(p3, (1, 0, 1)))
-    d1 = to_dense(cx.boundary(1))
+    d1 = to_dense(cx.boundaries[1])
     assert d1 == [[1, 0, 1]]          # v1, v3 hit the empty clique; v2 dies
     # dims 1, 3, 2 and boundary ranks 1, 1
     assert cx.homology() == dense_homology(cx) == {0: 0, 1: 1, 2: 1}
@@ -90,7 +90,7 @@ def test_character_complex_zero_character():
     p3 = examples.path(3)
     cx = character_complex(p3, chi_of(p3, (0, 0, 0)))
     assert cx.lo == 0 and cx.dims[0] == 1          # the empty clique
-    assert cx.boundary(1).is_zero() and cx.boundary(2).is_zero()
+    assert cx.boundaries[1].is_zero() and cx.boundaries[2].is_zero()
     assert cx.homology()[0] == 1
 
 

@@ -19,18 +19,19 @@ def test_prime_validation():
 
 
 def test_zero_and_identity():
-    assert rank_fp(MatrixFp(5, 7, 3)) == 0
+    assert rank_fp(MatrixFp(5, 3, [{} for _ in range(7)])) == 0
     identity = [[int(i == j) for j in range(6)] for i in range(6)]
     assert rank_fp(from_rows(identity, 5)) == 6
-    assert MatrixFp(2, 3, 5).columns == [{}, {}, {}]
+    assert MatrixFp(2, 5, [{}, {}, {}]).cols == 3
 
 
 def test_equal_matrices_hash_alike():
-    a = MatrixFp.from_columns(3, 5, [{0: 1, 2: 4}, {}])
-    b = MatrixFp.from_columns(3, 5, [{2: 4, 0: 1}, {}])
+    a = MatrixFp(3, 5, [{0: 1, 2: 4}, {}])
+    b = MatrixFp(3, 5, [{2: 4, 0: 1}, {}])
     assert a == b == from_rows([[1, 0], [0, 0], [4, 0]], 5)
     assert hash(a) == hash(b)
-    assert a != MatrixFp(3, 2, 5) and a != from_rows([[1, 0], [0, 0], [4, 0]], 7)
+    assert a != MatrixFp(3, 5, [{}, {}])
+    assert a != from_rows([[1, 0], [0, 0], [4, 0]], 7)
 
 
 def test_entries_normalized_mod_p():
@@ -122,7 +123,7 @@ def test_rank_of_cleared_columns_against_dense_submatrix(p):
         # the clearing pass hands rank_fp only the columns it keeps
         m = from_rows(dense, p)
         lows = set()
-        rank = rank_fp(MatrixFp.from_columns(nr, p, [
+        rank = rank_fp(MatrixFp(nr, p, [
             col for j, col in enumerate(m.columns) if j not in cleared]),
             lows=lows)
         assert rank == dense_rank(kept, p)
@@ -133,8 +134,8 @@ def test_rank_of_cleared_columns_against_dense_submatrix(p):
 
 
 def test_rank_with_empty_shapes_and_zero_columns():
-    for shape in ((0, 4), (4, 0), (0, 0)):
-        assert rank_fp(MatrixFp(*shape, 3)) == 0
+    for rows, cols in ((0, 4), (4, 0), (0, 0)):
+        assert rank_fp(MatrixFp(rows, 3, [{}] * cols)) == 0
     # zero columns around the pivots, and a column (the fourth, twice
     # the second) that reduces to zero against an earlier pivot
     dense = [[0, 1, 0, 2, 1, 0],
@@ -164,8 +165,8 @@ def test_mul():
     a = from_rows([[1, 2], [3, 4]], p)
     b = from_rows([[5, 6], [0, 1]], p)
     assert to_dense(a.mul(b)) == [[5, 8 % 7], [15 % 7, 22 % 7]]
-    assert a.mul(MatrixFp(2, 3, p)).is_zero()
+    assert a.mul(MatrixFp(2, p, [{}, {}, {}])).is_zero()
     with pytest.raises(ValueError):
-        a.mul(MatrixFp(3, 3, p))
+        a.mul(MatrixFp(3, p, [{}, {}, {}]))
     with pytest.raises(ValueError):
-        a.mul(MatrixFp(2, 2, 5))
+        a.mul(MatrixFp(2, 5, [{}, {}]))

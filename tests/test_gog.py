@@ -16,11 +16,12 @@ from raagfp.verify import random_gog
 
 
 def single_edge(ov, oe, ow):
-    return GraphOfFiniteGroups([("v", ov), ("w", ow)], [("e", "v", "w", oe)])
+    return GraphOfFiniteGroups([("v", ov), ("w", ow)],
+                               [GogEdge("e", "v", "w", oe)])
 
 
 def loop(ov, oe):
-    return GraphOfFiniteGroups([("v", ov)], [("e", "v", "v", oe)])
+    return GraphOfFiniteGroups([("v", ov)], [GogEdge("e", "v", "v", oe)])
 
 
 # construction and parsing
@@ -31,22 +32,21 @@ def test_validation():
     with pytest.raises(SchemaError, match="connected"):
         GraphOfFiniteGroups([("a", 1), ("b", 1)], [])
     with pytest.raises(SchemaError, match="unknown"):
-        GraphOfFiniteGroups([("a", 1)], [("e", "a", "zz", 1)])
+        GraphOfFiniteGroups([("a", 1)], [GogEdge("e", "a", "zz", 1)])
     with pytest.raises(SchemaError, match="duplicate"):
         GraphOfFiniteGroups([("a", 1), ("a", 2)], [])
     with pytest.raises(SchemaError, match="positive"):
         GraphOfFiniteGroups([("a", 0)], [])
 
 
-def test_edges_are_kept_or_built_from_tuples():
+def test_edges_are_kept():
     e = GogEdge("e", "a", "b", 2)
-    x = GraphOfFiniteGroups([("a", 2), ("b", 4)], [("f", "a", "b", 1), e])
+    x = GraphOfFiniteGroups([("a", 2), ("b", 4)], [GogEdge("f", "a", "b", 1), e])
     assert x.edges[0] is e
-    assert x.edges[1] == GogEdge("f", "a", "b", 1)
 
 
 def test_graphs_of_groups_are_read_only():
-    x = GraphOfFiniteGroups([("v", 4), ("w", 6)], [("e", "v", "w", 2)])
+    x = GraphOfFiniteGroups([("v", 4), ("w", 6)], [GogEdge("e", "v", "w", 2)])
     with pytest.raises(TypeError):
         x.orders["v"] = 5
     for name in ("orders", "edges", "new"):
@@ -97,7 +97,7 @@ def test_is_reduced():
 def test_reduce_path_example():
     x = GraphOfFiniteGroups(
         [("a", 2), ("b", 2), ("c", 3)],
-        [("e1", "a", "b", 2), ("e2", "b", "c", 1)])
+        [GogEdge("e1", "a", "b", 2), GogEdge("e2", "b", "c", 1)])
     r = reduce(x)
     assert set(r.orders.items()) == {("b", 2), ("c", 3)}
     assert [(e.id, e.order) for e in r.edges] == [("e2", 1)]
@@ -107,7 +107,8 @@ def test_reduce_path_example():
 def test_reduce_triangle_to_loop():
     x = GraphOfFiniteGroups(
         [("a", 2), ("b", 2), ("c", 2)],
-        [("e1", "a", "b", 2), ("e2", "b", "c", 2), ("e3", "c", "a", 2)])
+        [GogEdge("e1", "a", "b", 2), GogEdge("e2", "b", "c", 2),
+         GogEdge("e3", "c", "a", 2)])
     r = reduce(x)
     assert list(r.orders.values()) == [2]
     assert len(r.edges) == 1 and r.edges[0].is_loop
@@ -134,7 +135,7 @@ def test_is_dihedral_type():
     assert not is_dihedral_type(single_edge(6, 2, 4))
     assert not is_dihedral_type(loop(4, 2))
     two_loops = GraphOfFiniteGroups(
-        [("v", 2)], [("e1", "v", "v", 2), ("e2", "v", "v", 2)])
+        [("v", 2)], [GogEdge("e1", "v", "v", 2), GogEdge("e2", "v", "v", 2)])
     assert not is_dihedral_type(two_loops)
 
 
@@ -144,14 +145,14 @@ def test_euler_characteristic_examples():
     assert euler_characteristic(single_edge(2, 1, 2)) == 0
     assert euler_characteristic(loop(1, 1)) == 0
     two_loops = GraphOfFiniteGroups(
-        [("v", 1)], [("e1", "v", "v", 1), ("e2", "v", "v", 1)])
+        [("v", 1)], [GogEdge("e1", "v", "v", 1), GogEdge("e2", "v", "v", 1)])
     assert euler_characteristic(two_loops) == -1
     assert euler_characteristic(single_edge(4, 2, 6)) == Fraction(-1, 12)
 
 
 def test_free_rank_examples():
     two_loops = GraphOfFiniteGroups(
-        [("v", 1)], [("e1", "v", "v", 1), ("e2", "v", "v", 1)])
+        [("v", 1)], [GogEdge("e1", "v", "v", 1), GogEdge("e2", "v", "v", 1)])
     assert free_rank(two_loops, 1) == 2
     assert free_rank(single_edge(2, 1, 2), 2) == 1
     assert free_rank(single_edge(4, 2, 4), 4) == 1
@@ -204,7 +205,7 @@ def test_check_bounds_skips_unreduced():
 
 def test_check_bounds_bouquet():
     two_loops = GraphOfFiniteGroups(
-        [("v", 2)], [("e1", "v", "v", 2), ("e2", "v", "v", 2)])
+        [("v", 2)], [GogEdge("e1", "v", "v", 2), GogEdge("e2", "v", "v", 2)])
     report = check_bounds(two_loops, 2)
     assert report["rank"] == 2
     assert all(r["quotient_index"] == 1 and r["quotient_ok"]
