@@ -279,15 +279,15 @@ def is_full(g: SimplicialGraph, m: CoabelianSpec) -> dict:
     _check_columns(g, m)
     factors = []
     for factor in join_factors(g) if g.vertices else []:
-        if not g.is_clique(factor):
+        # a join factor is a component of the complement graph, so one
+        # of two or more vertices holds a non-edge: a clique factor is a
+        # single vertex, and meets the kernel iff its column is zero
+        if len(factor) > 1:
             factors.append({
                 "factor": list(factor), "is_clique": False, "intersects": True,
                 "reason": "not a clique: the factor's derived subgroup "
                           "lies in the kernel"})
             continue
-        # a join factor is a component of the complement graph, so one
-        # of two or more vertices holds a non-edge: a clique factor is a
-        # single vertex, and meets the kernel iff its column is zero
         (v,) = factor
         rank = int(any(m.column(v)))
         factors.append({

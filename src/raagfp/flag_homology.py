@@ -27,7 +27,7 @@ ends with the largest size that occurs.
 This module owns every chain-complex convention.  Both routes, and the
 support complex of ``fpcheck.character_complex``, are ranked by one
 top-down clearing pass (``_clearing_pass``), and both tuple complexes
-come from one clique-boundary builder (``_clique_complex``).  Every
+are ``ChainComplexFp``s built from their clique groups.  Every
 tuple complex starts at the empty clique, the relative complex of a
 core at its first clique outside the stars, and each squares to zero
 in every degree.
@@ -60,51 +60,65 @@ def link_complex(g: SimplicialGraph, support, s) -> list:
 
 
 class ChainComplexFp:
-    """Graded F_p vector spaces with boundary maps d_n: degree n -> n-1.
+    """Chain complex over F_p with one basis element per clique.
 
-    ``dims`` maps each degree in [lo, hi] to its basis size and
-    ``boundaries[n]`` holds d_n for lo < n <= hi; an absent d_n is the
-    zero map.  The clearing pass that ranks the boundaries needs
-    d_n . d_(n+1) = 0; every complex this module builds satisfies it in
-    every degree, and ``dd_violation`` checks it.
+    ``groups[k]`` lists the size-k cliques as vertex tuples (groups[0]
+    holds the empty clique) and sits in degree lo + k, so ``dims`` maps
+    each degree in [lo, hi] to its group size, hi = lo + len(groups) - 1,
+    and ``boundaries[n]`` holds d_n: degree n -> n-1 for every
+    lo < n <= hi, with the row of a face keyed by its index in its
+    group.  The boundary of a clique removes each of its vertices that
+    lies in ``removable`` (every vertex when None); removing the vertex
+    in 0-based position i gives the sign (-1)**i.  Each boundary is
+    built column by column, one column per clique.  The clearing pass
+    that ranks the boundaries needs d_n . d_(n+1) = 0.  It holds in
+    every degree, since removing two removable vertices in either order
+    gives opposite signs, and ``dd_violation`` checks it.
     """
 
     __slots__ = ("p", "lo", "hi", "dims", "boundaries")
 
-    def __init__(self, p, lo, hi, dims, boundaries):
+    def __init__(self, groups, p: int, lo: int, removable=None):
         check_prime(p)
-        if hi < lo:
+        if not groups:
             raise ValueError("empty degree range")
         self.p = p
         self.lo = lo
-        self.hi = hi
-        self.dims = {n: int(dims.get(n, 0)) for n in range(lo, hi + 1)}
-        self.boundaries = dict(boundaries)
-        for n, m in self.boundaries.items():
-            if not (lo < n <= hi):
-                raise ValueError(f"boundary degree out of range: {n}")
-            if (m.rows, m.cols) != (self.dims[n - 1], self.dims[n]):
-                raise ValueError(f"boundary {n} has shape {(m.rows, m.cols)}, "
-                                 f"expected {(self.dims[n - 1], self.dims[n])}")
+        self.hi = lo + len(groups) - 1
+        self.dims = {lo + k: len(group) for k, group in enumerate(groups)}
+        self.boundaries = {}
+        for k in range(1, len(groups)):
+            index_below = {c: i for i, c in enumerate(groups[k - 1])}
+            signs = [1 if pos % 2 == 0 else p - 1 for pos in range(k)]
+            self.boundaries[lo + k] = MatrixFp(len(groups[k - 1]), p, [
+                {index_below[c[:pos] + c[pos + 1:]]: sign
+                 for pos, sign in enumerate(signs)
+                 if removable is None or c[pos] in removable}
+                for c in groups[k]])
 
     def dd_violation(self):
-        """First degree n with d_n . d_(n+1) != 0, else None.  A degree
-        where either map is absent is skipped: a zero map composes to
-        zero."""
+        """First degree n with d_n . d_(n+1) != 0, else None.  Each
+        column of d_(n+1) adds up the columns of d_n mod p, weighted by
+        its entries; d_n . d_(n+1) is zero when every sum is."""
+        p = self.p
         for n in range(self.lo + 1, self.hi):
-            d, d_up = self.boundaries.get(n), self.boundaries.get(n + 1)
-            if d and d_up and not d.mul(d_up).is_zero():
-                return n
+            below = self.boundaries[n].columns
+            for column in self.boundaries[n + 1].columns:
+                image = {}
+                for k, weight in column.items():
+                    for i, v in below[k].items():
+                        image[i] = (image.get(i, 0) + weight * v) % p
+                if any(image.values()):
+                    return n
         return None
 
     def homology(self) -> dict:
         """Dimension of ker d_n / im d_(n+1) for lo <= n <= hi, in one
         clearing pass over the columns of each d_n that are not lows."""
         def columns(k, cleared):
-            m = self.boundaries.get(self.lo + k)
-            if m is None:
-                return []
-            return [col for j, col in enumerate(m.columns) if j not in cleared]
+            return [col for j, col in
+                    enumerate(self.boundaries[self.lo + k].columns)
+                    if j not in cleared]
 
         h = _clearing_pass(
             self.p, self.lo,
@@ -141,34 +155,11 @@ def _clearing_pass(p: int, lo: int, sizes: list, columns) -> list:
     return h
 
 
-def _clique_complex(groups, p: int, lo: int, removable=None) -> ChainComplexFp:
-    """Chain complex with one basis element per clique: ``groups[k]``
-    lists the size-k cliques as vertex tuples (groups[0] holds the empty
-    clique) and sits in degree lo + k.
-
-    The boundary of a clique removes each of its vertices that lies in
-    ``removable`` (every vertex when None); removing the vertex in
-    0-based position i gives the sign (-1)**i.  Each boundary is built
-    column by column, one column per clique.
-    """
-    boundaries = {}
-    for k in range(1, len(groups)):
-        index_below = {c: i for i, c in enumerate(groups[k - 1])}
-        signs = [1 if pos % 2 == 0 else p - 1 for pos in range(k)]
-        boundaries[lo + k] = MatrixFp(len(groups[k - 1]), p, [
-            {index_below[c[:pos] + c[pos + 1:]]: sign
-             for pos, sign in enumerate(signs)
-             if removable is None or c[pos] in removable}
-            for c in groups[k]])
-    dims = {lo + k: len(group) for k, group in enumerate(groups)}
-    return ChainComplexFp(p, lo, lo + len(groups) - 1, dims, boundaries)
-
-
 def simplicial_chain_complex(groups, p: int) -> ChainComplexFp:
     """Augmented chain complex of the flag complex with clique groups
     ``groups``: size-n cliques sit in degree n-1, the empty clique in
     degree -1, and d_0 sends every vertex to 1."""
-    return _clique_complex(groups, p, -1)
+    return ChainComplexFp(groups, p, -1)
 
 
 def reduced_homology(groups, p: int) -> dict:

@@ -44,7 +44,7 @@ import math
 from types import MappingProxyType
 
 from .errors import EpimorphismError, SchemaError
-from .flag_homology import (ChainComplexFp, _clique_complex, link_complex,
+from .flag_homology import (ChainComplexFp, link_complex,
                             mask_reduced_homology, reduced_homology)
 from .fpmatrix import check_prime
 from .frozen import Frozen
@@ -149,7 +149,7 @@ def character_complex(g: SimplicialGraph, chi: Character) -> ChainComplexFp:
     the empty clique in degree 0.  The boundary of a clique removes only
     its support vertices, so h_0 is 1 exactly when the support is empty.
     """
-    return _clique_complex(enumerate_cliques(g), chi.p, 0, chi.support(g))
+    return ChainComplexFp(enumerate_cliques(g), chi.p, 0, chi.support(g))
 
 
 def outside_cliques(g: SimplicialGraph, support) -> list:

@@ -43,9 +43,9 @@ class MatrixFp:
 
     ``columns[j]`` maps the row key of each nonzero entry of column j
     to its value in 1..p-1.  Row keys are any ints, ordered as ints
-    (``rows`` counts them); ``mul`` takes 0..rows-1.  The constructor
-    takes the columns as they are, so cols is ``len(columns)``: a list
-    of empty dicts gives the zero matrix.
+    (``rows`` counts them).  The constructor takes the columns as they
+    are, so cols is ``len(columns)``: a list of empty dicts gives the
+    zero matrix.
     """
 
     __slots__ = ("rows", "cols", "p", "columns")
@@ -54,24 +54,8 @@ class MatrixFp:
         self.rows, self.cols, self.p, self.columns = \
             rows, len(columns), check_prime(p), columns
 
-    def is_zero(self) -> bool:
-        return not any(self.columns)
-
     def nnz(self) -> int:
         return sum(map(len, self.columns))
-
-    def mul(self, other: "MatrixFp") -> "MatrixFp":
-        if self.cols != other.rows or self.p != other.p:
-            raise ValueError("incompatible shapes or moduli")
-        p = self.p
-        out = []
-        for bcol in other.columns:
-            acc = {}
-            for k, vb in bcol.items():
-                for i, va in self.columns[k].items():
-                    acc[i] = (acc.get(i, 0) + va * vb) % p
-            out.append({i: v for i, v in acc.items() if v})
-        return MatrixFp(self.rows, p, out)
 
     def __eq__(self, other):
         return (isinstance(other, MatrixFp) and self.rows == other.rows

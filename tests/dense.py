@@ -23,6 +23,12 @@ def to_dense(m: MatrixFp) -> list:
     return out
 
 
+def dense_product(a, b, p: int) -> list:
+    """The product of the row lists a and b, read mod p."""
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)]
+            for row in a]
+
+
 def dense_rank(rows, p):
     """Plain row reduction to echelon form, the independent oracle for
     rank_fp."""

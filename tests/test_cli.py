@@ -266,15 +266,12 @@ def test_verify_negative_control():
     # a deliberately corrupted boundary must be caught by the same check
     # the verify suites run
     from raagfp.flag_homology import ChainComplexFp
-    good = ChainComplexFp(
-        2, 0, 2, {0: 1, 1: 2, 2: 1},
-        {1: from_rows([[1, 1]], 2),
-         2: from_rows([[1], [1]], 2)})
+    edge = [[()], [("a",), ("b",)], [("a", "b")]]
+    good = ChainComplexFp(edge, 2, 0)
     assert good.dd_violation() is None
-    corrupted = ChainComplexFp(
-        2, 0, 2, {0: 1, 1: 2, 2: 1},
-        {1: from_rows([[1, 1]], 2),
-         2: from_rows([[1], [0]], 2)})
+    corrupted = ChainComplexFp(edge, 2, 0)
+    assert corrupted.boundaries[2] == from_rows([[1], [1]], 2)
+    corrupted.boundaries[2] = from_rows([[1], [0]], 2)
     assert corrupted.dd_violation() == 1
 
 

@@ -49,6 +49,10 @@ def test_simplicial_chain_complex_dims():
     assert [cx.dims[d] for d in (-1, 0, 1, 2)] == [1, 3, 3, 1]
     cx = simplicial_chain_complex([[()]], 5)
     assert cx.dims == {-1: 1}
+    with pytest.raises(ValueError, match="empty degree range"):
+        simplicial_chain_complex([], 5)
+    with pytest.raises(ValueError, match="prime"):
+        simplicial_chain_complex([[()]], 4)
 
 
 def test_boundary_rank_of_cycle_edges():

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import examples
 import pytest
-from dense import dense_homology, to_dense
+from dense import dense_homology, dense_product, to_dense
 from graphref import neighbours
 
 from raagfp.errors import EpimorphismError
@@ -90,7 +90,8 @@ def test_character_complex_zero_character():
     p3 = examples.path(3)
     cx = character_complex(p3, chi_of(p3, (0, 0, 0)))
     assert cx.lo == 0 and cx.dims[0] == 1          # the empty clique
-    assert cx.boundaries[1].is_zero() and cx.boundaries[2].is_zero()
+    assert not any(cx.boundaries[1].columns)
+    assert not any(cx.boundaries[2].columns)
     assert cx.homology()[0] == 1
 
 
@@ -101,6 +102,42 @@ def test_character_complex_chain_condition():
         vals = [rng.randint(-3, 3) for _ in g.vertices]
         cx = character_complex(g, chi_of(g, vals, p=rng.choice((2, 3, 5))))
         assert cx.dd_violation() is None
+
+
+def test_dd_violation_against_dense_product():
+    # flag, support and link complexes, each sometimes with one boundary
+    # entry changed: dd_violation names the first degree whose dense
+    # product d_n . d_(n+1) is nonzero
+    rng = random.Random("dd-dense")
+    caught = 0
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(0, 7), density=rng.uniform(0.3, 0.9))
+        p = rng.choice((2, 3, 5))
+        chi = Character(p, {v: rng.choice((0, 1, -1)) for v in g.vertices})
+        supp = chi.support(g)
+        complexes = [simplicial_chain_complex(enumerate_cliques(g), p),
+                     character_complex(g, chi)]
+        complexes += [simplicial_chain_complex(link_complex(g, supp, s), p)
+                      for s in outside_cliques(g, supp)]
+        for cx in complexes:
+            targets = [m for m in cx.boundaries.values() if m.rows and m.cols]
+            if targets and rng.random() < 0.5:
+                m = rng.choice(targets)
+                column = rng.choice(m.columns)
+                i = rng.randrange(m.rows)
+                v = rng.choice([x for x in range(p) if x != column.get(i, 0)])
+                if v:
+                    column[i] = v
+                else:
+                    del column[i]
+            expected = next(
+                (n for n in range(cx.lo + 1, cx.hi)
+                 if any(map(any, dense_product(to_dense(cx.boundaries[n]),
+                                               to_dense(cx.boundaries[n + 1]),
+                                               p)))), None)
+            assert cx.dd_violation() == expected
+            caught += expected is not None
+    assert caught
 
 
 def test_support_complex_against_link_table_in_every_degree():

@@ -158,15 +158,3 @@ def test_rank_of_rank_deficient_products():
                 for j in range(n):
                     dense[i][j] = (dense[i][j] + u[i] * v[j]) % p
         assert rank_fp(from_rows(dense, p)) <= terms
-
-
-def test_mul():
-    p = 7
-    a = from_rows([[1, 2], [3, 4]], p)
-    b = from_rows([[5, 6], [0, 1]], p)
-    assert to_dense(a.mul(b)) == [[5, 8 % 7], [15 % 7, 22 % 7]]
-    assert a.mul(MatrixFp(2, p, [{}, {}, {}])).is_zero()
-    with pytest.raises(ValueError):
-        a.mul(MatrixFp(3, p, [{}, {}, {}]))
-    with pytest.raises(ValueError):
-        a.mul(MatrixFp(2, 5, [{}, {}]))
