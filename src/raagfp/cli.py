@@ -2,7 +2,8 @@
 
 Exit codes: 0 verdict true (or clean run), 1 verdict false (or suite
 failure), 2 malformed input or bad arguments (a count flag below 1
-exits before any file is read), 3 inapplicable analysis
+exits before any file is read, a --max-n above |V| + 1 once the graph
+is read), 3 inapplicable analysis
 (zero character, rank-0 matrix, index bounds violated on a graph of
 groups whose free rank is below 2), 4 internal defect (a failed
 self-check, a violated index bound on input that meets the theorem's
@@ -131,12 +132,19 @@ def _graph_and_character(args):
     return g, chi, inputs
 
 
+def _check_max_n(g, max_n):
+    # every degree row above the largest clique size repeats that row
+    if max_n is not None and max_n > len(g) + 1:
+        raise ValueError(f"--max-n must be at most |V| + 1 = {len(g) + 1} "
+                         f"on this graph, got {max_n}")
+
+
 def cmd_fg(args) -> tuple:
     g, chi, inputs = _graph_and_character(args)
     supp, t = fpcheck.require_epimorphism(g, chi)
     connected, dominant = fpcheck.connected_and_dominant(g, supp)
     fg = connected and dominant
-    results = {"support": list(g.sorted(supp)),
+    results = {"support": list(supp),
                "connected": connected,
                "dominant": dominant,
                "rescaled_by_power": t,
@@ -146,6 +154,7 @@ def cmd_fg(args) -> tuple:
 
 def cmd_fpn(args) -> tuple:
     g, chi, inputs = _graph_and_character(args)
+    _check_max_n(g, args.max_n)
     results = fpcheck.analyze(g, chi, max_n=args.max_n)
     wanted = args.max_n if args.max_n is not None else 1
     ok = all(r["fp_complex"] for r in results["degrees"][:wanted])
@@ -187,6 +196,7 @@ def cmd_table(args) -> tuple:
 
 def cmd_coabelian(args) -> tuple:
     g, sha256 = _graph(args.graph)
+    _check_max_n(g, args.max_n)
     m = coabelian.parse_matrix(_load_json(args.matrix), g)
     results = coabelian.fg_coabelian(g, m)
     verdict = results["fg"]

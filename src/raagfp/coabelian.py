@@ -195,11 +195,13 @@ def enumerate_patterns(m: CoabelianSpec) -> list:
 
 def _certify(m: CoabelianSpec, cols, zero_idx, rows) -> ZeroPattern:
     """Combine the zero columns' nullspace basis, carried in ``rows``
-    with its dots, into a certificate."""
-    # A generic integer combination avoids the finitely many hyperplanes
-    # orthogonal to the outside columns; powers of t suffice for some t.
-    # Its dots combine the carried ones: 0 on every zero column.
-    for t in range(1, 10000):
+    with its dots, into a certificate: sum of t**i * rows[i] for the
+    first t >= 1 whose dots are nonzero off the zero set (they are 0 on
+    it).  At an outside column c some carried dot is nonzero, so the
+    dot is a nonzero polynomial in t of degree below r = len(rows), and
+    rules out at most r - 1 values: t = (outside columns) * (r - 1) + 1
+    is the last to try.  Rows (-1, ..., -m) and (1, ..., 1) need it."""
+    for t in range(1, (len(cols) - len(zero_idx)) * (len(rows) - 1) + 2):
         powers = [t ** i for i in range(len(rows))]
         lam = [sum(map(mul, powers, entries)) for entries in zip(*rows)]
         if lam[m.k:].count(0) == len(zero_idx):

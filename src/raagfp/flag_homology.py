@@ -169,17 +169,14 @@ def reduced_homology(groups, p: int) -> dict:
     The empty complex has dimension 1 in degree -1 and nothing else.
     The two lowest degrees are checked against a count that uses no
     rank: h_-1 is 1 exactly when there are no vertices, and h_0 + 1 is
-    the number of connected components of the 1-skeleton.
+    the number of components of the 1-skeleton, the ``SimplicialGraph``
+    of the size-1 and size-2 cliques.
     """
     h = simplicial_chain_complex(groups, p).homology()
-    vertices = groups[1] if len(groups) > 1 else []
-    index = {v: i for i, (v,) in enumerate(vertices)}
-    adj = [0] * len(index)
-    for a, b in groups[2] if len(groups) > 2 else []:
-        adj[index[a]] |= 1 << index[b]
-        adj[index[b]] |= 1 << index[a]
-    _check_low_degrees(h, len(index),
-                       len(components(adj, (1 << len(index)) - 1)))
+    vertices = [v for (v,) in groups[1]] if len(groups) > 1 else []
+    skeleton = SimplicialGraph(vertices, groups[2] if len(groups) > 2 else [])
+    count = len(components(skeleton.masks, (1 << len(vertices)) - 1))
+    _check_low_degrees(h, len(vertices), count)
     return h
 
 

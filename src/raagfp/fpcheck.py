@@ -70,9 +70,10 @@ class Character(Frozen):
     def __reduce__(self):
         return Character, (self.p, dict(self.values))
 
-    def support(self, g: SimplicialGraph) -> frozenset:
+    def support(self, g: SimplicialGraph) -> tuple:
+        """The vertices of g where chi is nonzero, in g's vertex order."""
         self.require_defined_on(g)
-        return frozenset(v for v in g.vertices if self.values[v] != 0)
+        return tuple(v for v in g.vertices if self.values[v] != 0)
 
     def require_defined_on(self, g: SimplicialGraph):
         for v in g.vertices:
@@ -301,7 +302,7 @@ def analyze(g: SimplicialGraph, chi: Character, max_n: int | None = None
     # and every outside vertex has a nonempty link.  Both sides of the
     # identity come from the same table here; the unsplit complex is
     # compared with it only in decomposition_check
-    return {"p": chi.p, "support": list(g.sorted(supp)),
+    return {"p": chi.p, "support": list(supp),
             "rescaled_by_power": t, "fg": h[1] == 0, "degrees": rows,
             "max_fp": "inf" if level == INFINITE else level,
             "routes_agree": all(r["fp_complex"] == r["fp_links"] for r in rows),

@@ -14,7 +14,7 @@ from types import MappingProxyType
 
 from .errors import SchemaError
 from .frozen import Frozen
-from .graph import components
+from .graph import SimplicialGraph, components
 
 
 class GogEdge(Frozen):
@@ -38,7 +38,8 @@ class GraphOfFiniteGroups(Frozen):
     edge; loops and parallel edges allowed.  Each edge order divides
     both endpoint orders (the edge group embeds in the vertex groups).
     The constructor takes the vertex orders as ``(id, order)`` pairs
-    and the edges as ``GogEdge`` values.
+    and the edges as ``GogEdge`` values.  Connectivity is read off the
+    ``SimplicialGraph`` of its vertex ids and non-loop edges.
 
     ``orders`` is a read-only view of a private copy of the vertex
     orders and ``edges`` a tuple sorted by id, so a graph of groups
@@ -76,12 +77,9 @@ class GraphOfFiniteGroups(Frozen):
                         f"vertex {end!r} order {orders[end]}")
             norm.append(e)
         norm.sort(key=lambda e: e.id)
-        position = {v: i for i, v in enumerate(orders)}
-        adj = [0] * len(orders)
-        for e in norm:
-            adj[position[e.d0]] |= 1 << position[e.d1]
-            adj[position[e.d1]] |= 1 << position[e.d0]
-        if len(components(adj, (1 << len(orders)) - 1)) != 1:
+        g = SimplicialGraph(orders, [(e.d0, e.d1) for e in norm
+                                     if not e.is_loop])
+        if len(components(g.masks, (1 << len(g)) - 1)) != 1:
             raise SchemaError("underlying multigraph is not connected")
         object.__setattr__(self, "orders", MappingProxyType(orders))
         object.__setattr__(self, "edges", tuple(norm))

@@ -112,10 +112,6 @@ class SimplicialGraph(Frozen):
             out.append(self.vertices[bit.bit_length() - 1])
         return tuple(out)
 
-    def sorted(self, subset):
-        """The members of subset as a tuple in vertex order."""
-        return tuple(sorted(subset, key=self._index.__getitem__))
-
     def is_clique(self, members) -> bool:
         """True iff members are distinct and pairwise adjacent."""
         ms = list(members)
@@ -174,14 +170,10 @@ def graph_document(g: SimplicialGraph) -> dict:
 
 def induced_subgraph(g: SimplicialGraph, keep) -> SimplicialGraph:
     """Subgraph spanned by ``keep``, vertex order inherited from g."""
-    vset = g.mask(keep)
-    vs = g.members(vset)
-    es = []
-    for v in vs:
-        i = g.index(v)
-        later = g.masks[i] & vset & ~((2 << i) - 1)    # positions above i
-        es.extend((v, w) for w in g.members(later))
-    return SimplicialGraph(vs, es)
+    vs = g.members(g.mask(keep))
+    kept = set(vs)
+    return SimplicialGraph(vs, [(v, w) for v, w in g._pairs()
+                                if v in kept and w in kept])
 
 
 def join_factors(g: SimplicialGraph) -> list:

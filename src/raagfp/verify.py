@@ -193,18 +193,17 @@ def trial_pattern_completeness(rng, max_vertices):
     m = coabelian.CoabelianSpec(2, rows, vertices)
     if coabelian.matrix_rank(m) == 0:
         return None
-    enumerated = {frozenset(pat.zero_set)
-                  for pat in coabelian.enumerate_patterns(m)}
+    enumerated = {pat.zero_set for pat in coabelian.enumerate_patterns(m)}
     cols = [m.column(v) for v in vertices]
     for _ in range(1000):
         lam = [rng.randint(-9, 9) for _ in range(k)]
         if not any(lam):
             continue
-        zs = frozenset(v for v, col in zip(vertices, cols)
-                       if sum(a * b for a, b in zip(lam, col)) == 0)
+        zs = tuple(v for v, col in zip(vertices, cols)
+                   if sum(a * b for a, b in zip(lam, col)) == 0)
         if len(zs) < n and zs not in enumerated:
             return {"matrix": m.document(), "lambda": lam,
-                    "missing_pattern": sorted(zs)}
+                    "missing_pattern": list(zs)}
     return None
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -70,6 +71,31 @@ def test_fpn_rejects_max_n_below_one(files, capsys):
     for n in ("0", "-1"):
         code, out = run(capsys, ["fpn", gp, cp, "--max-n", n])
         assert code == 2 and out == ""
+
+
+def test_max_n_above_vertex_count_plus_one_exits_2(capsys):
+    # every row above the largest clique size repeats that row, so |V| + 1
+    # is the largest --max-n that prints a report; its bytes are pinned
+    path2 = [str(CORPUS / "path2.graph.json"),
+             str(CORPUS / "path2.ones.chi.json")]
+    cycle4 = [str(CORPUS / "cycle4.graph.json"),
+              str(CORPUS / "cycle4.allones.matrix.json")]
+    for argv, top, code_at_top, sha256 in (
+            (["fpn", *path2], 3, 0,
+             "ff82792776ac2efa925c32f7d2dcced1"
+             "80c27095cf04f79e3217f12701726d9e"),
+            (["coabelian", *cycle4], 5, 1,
+             "e8ffb7ee46a988c3c62344a9b9a7ba5b"
+             "d6c5d7cb44d9190c8f145c871b76d48a")):
+        code, out = run(capsys, [*argv, "--max-n", str(top)])
+        assert code == code_at_top
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+        for n in (top + 1, 100000):
+            code = main([*argv, "--max-n", str(n)])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == "", (argv, n)
+            assert captured.err == (f"error: --max-n must be at most |V| + 1 "
+                                    f"= {top} on this graph, got {n}\n")
 
 
 def test_fpn_report_and_determinism(files, capsys):

@@ -460,6 +460,17 @@ def test_certificates_are_exact():
                 assert (dot == 0) == (v in zs)
 
 
+def test_certificate_search_bound_is_tight():
+    # the empty pattern carries the unit vectors, so its lam is (1, t),
+    # with dot t - j at column j: t = 1 .. m all fail, and the first good
+    # t is m + 1, the last value the search tries
+    for m in range(1, 7):
+        spec = CoabelianSpec(2, [range(-1, -m - 1, -1), [1] * m],
+                             [f"v{j}" for j in range(1, m + 1)])
+        empty = enumerate_patterns(spec)[0]
+        assert empty.zero_set == () and empty.certificate == (1, m + 1)
+
+
 def test_patterns_complete_against_sampling():
     rng = random.Random("sampling")
     for _ in range(20):

@@ -32,9 +32,8 @@ def random_graph(rng, n, density=0.5):
 def test_require_epimorphism_rescales_p_powers():
     g = examples.edgeless(2)
     assert require_epimorphism(g, chi_of(g, (2, 4), p=2)) == \
-        (frozenset({"v1", "v2"}), 1)
-    assert require_epimorphism(g, chi_of(g, (1, 0), p=3)) == \
-        (frozenset({"v1"}), 0)
+        (("v1", "v2"), 1)
+    assert require_epimorphism(g, chi_of(g, (1, 0), p=3)) == (("v1",), 0)
     with pytest.raises(EpimorphismError, match="identically zero"):
         require_epimorphism(g, chi_of(g, (0, 0)))
 

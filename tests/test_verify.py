@@ -111,3 +111,18 @@ def test_a_missing_zero_pattern_is_reported_as_a_json_list(capsys,
                               "--format", "text"])
     assert text == "\n".join(_render_text(json.loads(out))) + "\n"
     assert "(" not in text
+
+
+def test_a_missing_zero_pattern_is_listed_in_vertex_order(monkeypatch):
+    # leave out every pattern holding both a one-digit and a two-digit
+    # vertex, so the one reported puts v2 before v10, unlike string order
+    enumerate_patterns = coabelian.enumerate_patterns
+
+    def mixed(zero_set):
+        return len({len(v) for v in zero_set}) == 2
+
+    monkeypatch.setattr(coabelian, "enumerate_patterns", lambda m: [
+        pat for pat in enumerate_patterns(m) if not mixed(pat.zero_set)])
+    block = verify.run_all(seed=0, trials=50, max_vertices=12)[-1]
+    (failure,) = block["failures"]
+    assert failure["missing_pattern"] == ["v3", "v9", "v10"]
