@@ -36,6 +36,8 @@ def test_builders_match_shipped_files():
     assert parse_graph(octa) == examples.octahedron()
     rp2 = json.loads((CORPUS / "rp2.graph.json").read_text())
     assert parse_graph(rp2) == examples.rp2()
+    moore3 = json.loads((CORPUS / "moore3.graph.json").read_text())
+    assert parse_graph(moore3) == examples.moore3()
 
 
 def test_catalog_matches_classical_counts():

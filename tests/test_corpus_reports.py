@@ -75,7 +75,7 @@ def report(argv) -> list:
 def test_reference_file_covers_every_corpus_report():
     refs = json.loads(REFERENCES.read_text())
     assert sorted(refs) == sorted(key(a) for a in corpus_commands())
-    assert len(refs) == 194
+    assert len(refs) == 208
 
 
 @pytest.mark.parametrize("argv", corpus_commands(), ids=key)
