@@ -93,9 +93,59 @@ def render_json(doc, pad: str = "") -> str:
     ``indent`` makes json.dumps fall back to its pure-Python encoder.
     Here strings go through the C ``encode_basestring_ascii``, and
     integers, booleans and None are spelled as json.dumps spells them.
-    Any other type, or a key that is not a string, raises TypeError.
+    A container spells its scalars itself and puts them, its brackets,
+    separators and rendered members into one list that it joins once,
+    so a report is held at most twice while it is rendered: in pieces
+    and joined.  Any other type, or a key that is not a string, raises
+    TypeError.
     """
     kind = type(doc)
+    if kind is list:
+        if not doc:
+            return "[]"
+        inner = pad + "  "
+        sep = ",\n" + inner
+        parts = ["[\n", inner]
+        append = parts.append
+        for value in doc:
+            t = type(value)
+            if t is str:
+                append(encode_basestring_ascii(value))
+            elif t is int:
+                append(int.__repr__(value))
+            elif t is bool:
+                append("true" if value else "false")
+            elif value is None:
+                append("null")
+            else:
+                append(render_json(value, inner))
+            append(sep)
+        parts[-1] = "\n" + pad + "]"
+        return "".join(parts)
+    if kind is dict:
+        if not doc:
+            return "{}"
+        inner = pad + "  "
+        sep = ",\n" + inner
+        parts = ["{\n", inner]
+        append = parts.append
+        for key, value in doc.items():
+            append(encode_basestring_ascii(key))
+            t = type(value)
+            if t is str:
+                append(": " + encode_basestring_ascii(value))
+            elif t is int:
+                append(": " + int.__repr__(value))
+            elif t is bool:
+                append(": true" if value else ": false")
+            elif value is None:
+                append(": null")
+            else:
+                append(": ")
+                append(render_json(value, inner))
+            append(sep)
+        parts[-1] = "\n" + pad + "}"
+        return "".join(parts)
     if kind is str:
         return encode_basestring_ascii(doc)
     if kind is int:
@@ -104,20 +154,7 @@ def render_json(doc, pad: str = "") -> str:
         return "true" if doc else "false"
     if doc is None:
         return "null"
-    inner = pad + "  "
-    if kind is list:
-        if not doc:
-            return "[]"
-        return ("[\n" + ",\n".join([inner + render_json(v, inner) for v in doc])
-                + "\n" + pad + "]")
-    if kind is not dict:
-        raise TypeError(f"a report holds no {kind.__name__}")
-    if not doc:
-        return "{}"
-    return ("{\n" + ",\n".join([inner + encode_basestring_ascii(k) + ": "
-                                + render_json(v, inner)
-                                for k, v in doc.items()])
-            + "\n" + pad + "}")
+    raise TypeError(f"a report holds no {kind.__name__}")
 
 
 def _graph_and_character(args):
@@ -142,7 +179,7 @@ def _check_max_n(g, max_n):
 def cmd_fg(args) -> tuple:
     g, chi, inputs = _graph_and_character(args)
     supp, t = fpcheck.require_epimorphism(g, chi)
-    connected, dominant = fpcheck.connected_and_dominant(g, supp)
+    connected, dominant = fpcheck.connected_and_dominant(g, g.mask(supp))
     fg = connected and dominant
     results = {"support": list(supp),
                "connected": connected,

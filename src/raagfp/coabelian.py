@@ -200,16 +200,21 @@ def _certify(m: CoabelianSpec, cols, zero_idx, rows) -> ZeroPattern:
     it).  At an outside column c some carried dot is nonzero, so the
     dot is a nonzero polynomial in t of degree below r = len(rows), and
     rules out at most r - 1 values: t = (outside columns) * (r - 1) + 1
-    is the last to try.  Rows (-1, ..., -m) and (1, ..., 1) need it."""
-    for t in range(1, (len(cols) - len(zero_idx)) * (len(rows) - 1) + 2):
-        powers = [t ** i for i in range(len(rows))]
-        lam = [sum(map(mul, powers, entries)) for entries in zip(*rows)]
-        if lam[m.k:].count(0) == len(zero_idx):
-            pattern = ZeroPattern(
-                tuple(m.vertices[j] for j in zero_idx), lam[:m.k])
-            _verify_certificate(m, cols, pattern)
-            return pattern
-    raise InternalDefect("no certificate found; pattern not realizable")
+    is the last to try.  Rows (-1, ..., -m) and (1, ..., 1) need it.
+    With r = 1 every t gives rows[0] itself, so there is no search."""
+    if len(rows) == 1:
+        lam = rows[0]
+    else:
+        for t in range(1, (len(cols) - len(zero_idx)) * (len(rows) - 1) + 2):
+            powers = [t ** i for i in range(len(rows))]
+            lam = [sum(map(mul, powers, entries)) for entries in zip(*rows)]
+            if lam[m.k:].count(0) == len(zero_idx):
+                break
+        else:
+            raise InternalDefect("no certificate found; pattern not realizable")
+    pattern = ZeroPattern(tuple(m.vertices[j] for j in zero_idx), lam[:m.k])
+    _verify_certificate(m, cols, pattern)
+    return pattern
 
 
 def _verify_certificate(m: CoabelianSpec, cols, pattern: ZeroPattern):
@@ -225,11 +230,12 @@ def fg_coabelian(g: SimplicialGraph, m: CoabelianSpec) -> dict:
     ``patterns``, ``fg`` and ``fg_witness`` keys; the witness is the
     zero set of the first pattern failing that test, or None."""
     _check_columns(g, m)
+    full = (1 << len(g)) - 1
     rows = []
     witness = None
     for pattern in enumerate_patterns(m):
-        supp = set(g.vertices).difference(pattern.zero_set)
-        connected, dominant = fpcheck.connected_and_dominant(g, supp)
+        connected, dominant = fpcheck.connected_and_dominant(
+            g, full & ~g.mask(pattern.zero_set))
         fg = connected and dominant
         rows.append({"zero_set": list(pattern.zero_set),
                      "certificate": list(pattern.certificate),
@@ -242,10 +248,12 @@ def fg_coabelian(g: SimplicialGraph, m: CoabelianSpec) -> dict:
 def fpn_coabelian(g: SimplicialGraph, m: CoabelianSpec, n: int) -> dict:
     """FP_n of the kernel: conjunction of the single-character FP_n
     verdicts over all zero patterns.  Any character with the pattern's
-    zero set serves, since only zero patterns matter; the 0/1 indicator
-    of the support is used.  Returns the ``coabelian`` report's
-    ``fp_n``, ``fp``, ``fp_witness`` and ``per_pattern`` keys, each
-    pattern with its ``analyze`` results up to degree n.
+    zero set serves, since only zero patterns matter, so each pattern's
+    results are ``fpcheck.fpn_results`` for its support mask with
+    t = 0, the valuation of the support's 0/1 indicator: the block
+    ``analyze`` prints for that indicator, up to degree n.  Returns the
+    ``coabelian`` report's ``fp_n``, ``fp``, ``fp_witness`` and
+    ``per_pattern`` keys.
 
     Unlike ``fg_coabelian``'s, this aggregation is the paper's theorem
     only for a kernel that is weakly discretely embedded in G, so the
@@ -253,13 +261,12 @@ def fpn_coabelian(g: SimplicialGraph, m: CoabelianSpec, n: int) -> dict:
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_columns(g, m)
+    full = (1 << len(g)) - 1
     rows = []
     witness = None
     for pattern in enumerate_patterns(m):
-        zset = set(pattern.zero_set)
-        chi = fpcheck.Character(m.p, {v: 0 if v in zset else 1
-                                      for v in g.vertices})
-        report = fpcheck.analyze(g, chi, max_n=n)
+        report = fpcheck.fpn_results(g, full & ~g.mask(pattern.zero_set),
+                                     m.p, 0, n)
         rows.append({"zero_set": list(pattern.zero_set), "report": report})
         if witness is None and not report["degrees"][n - 1]["fp_complex"]:
             witness = list(pattern.zero_set)

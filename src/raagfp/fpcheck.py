@@ -36,6 +36,12 @@ and ``decomposition_check``, and the uncollapsed links only by the
 oracle ``fp_via_links``, which reads ``reduced_homology`` of each
 link's clique groups (``link_complex``); the verify suites and the
 tests run these oracles against the link table.
+
+The ``fpn`` results block is assembled in one place, ``fpn_results``,
+from a support bitmask, the prime and the power of p the character is
+rescaled by.  ``analyze`` reads those off a character;
+``coabelian.fpn_coabelian`` passes each zero pattern's support mask
+with power 0 and builds no character.
 """
 
 from __future__ import annotations
@@ -48,9 +54,11 @@ from .flag_homology import (ChainComplexFp, link_complex,
                             mask_reduced_homology, reduced_homology)
 from .fpmatrix import check_prime
 from .frozen import Frozen
-from .graph import SimplicialGraph, components, enumerate_cliques
+from .graph import (SimplicialGraph, check_vertex_set, components,
+                    enumerate_cliques)
 
 INFINITE = math.inf
+_ZERO_CHARACTER = "character is identically zero: not an epimorphism"
 
 
 class Character(Frozen):
@@ -118,16 +126,17 @@ def require_epimorphism(g: SimplicialGraph, chi: Character) -> tuple:
     """
     supp = chi.support(g)
     if not supp:
-        raise EpimorphismError("character is identically zero: not an epimorphism")
+        raise EpimorphismError(_ZERO_CHARACTER)
     return supp, min(_valuation(chi.values[v], chi.p) for v in supp)
 
 
-def connected_and_dominant(g: SimplicialGraph, supp) -> tuple:
-    """Whether the subgraph on supp is connected, and whether every
-    vertex outside supp has a neighbor in it.  The empty support counts
-    as not connected."""
+def connected_and_dominant(g: SimplicialGraph, vset: int) -> tuple:
+    """Whether the subgraph on the vertex set vset (a bitmask of g's
+    positions) is connected, and whether every vertex outside it has a
+    neighbor in it.  The empty set counts as not connected; a vset that
+    is not a set of g's positions raises SchemaError."""
     adj = g.masks
-    vset = g.mask(supp)
+    check_vertex_set(vset, len(adj))
     return (len(components(adj, vset)) == 1,
             all(adj[i] & vset for i in range(len(adj)) if not vset >> i & 1))
 
@@ -139,7 +148,7 @@ def is_fg(g: SimplicialGraph, chi: Character) -> bool:
     outside vertex has a neighbor in the support).
     """
     supp, _ = require_epimorphism(g, chi)
-    return all(connected_and_dominant(g, supp))
+    return all(connected_and_dominant(g, g.mask(supp)))
 
 
 def character_complex(g: SimplicialGraph, chi: Character) -> ChainComplexFp:
@@ -160,8 +169,9 @@ def outside_cliques(g: SimplicialGraph, support) -> list:
     return [c for group in enumerate_cliques(g, rest) for c in group]
 
 
-def link_homology_table(g: SimplicialGraph, support, p: int) -> dict:
-    """Reduced homology dims of every outside clique's restricted link.
+def link_homology_table(g: SimplicialGraph, supp: int, p: int) -> dict:
+    """Reduced homology dims of every outside clique's restricted link,
+    for the support given as a bitmask of g's positions.
 
     The link of S is the support mask ANDed with the adjacency masks of
     S's members; its homology is that of its strong collapse, so the
@@ -170,14 +180,14 @@ def link_homology_table(g: SimplicialGraph, support, p: int) -> dict:
     The keys come in ``outside_cliques`` order: by size, then by vertex
     positions, which is the order reports list them in.
     """
-    adj = g.masks
-    supp = g.mask(support)
+    adj = dict(zip(g.vertices, g.masks))
     table = {}
-    for s in outside_cliques(g, support):
-        link = supp
-        for v in s:
-            link &= adj[g.index(v)]
-        table[s] = mask_reduced_homology(g, link, p)
+    for group in enumerate_cliques(g, (1 << len(g)) - 1 & ~supp):
+        for s in group:
+            link = supp
+            for v in s:
+                link &= adj[v]
+            table[s] = mask_reduced_homology(g, link, p)
     return table
 
 
@@ -190,9 +200,12 @@ def homology_from_links(g: SimplicialGraph, links: dict) -> dict:
     with a largest clique of the link of S, so no block has chains
     above that degree; the collapsed links in the table may stop lower.
     """
-    top = g._clique_number()
-    return {n: sum(dims.get(n - 1 - len(s), 0) for s, dims in links.items())
-            for n in range(1, top + 1)}
+    h = dict.fromkeys(range(1, g._clique_number() + 1), 0)
+    for s, dims in links.items():
+        for d, dim in dims.items():
+            if dim and d + 1 + len(s) in h:
+                h[d + 1 + len(s)] += dim
+    return h
 
 
 def _level(h: dict):
@@ -254,7 +267,7 @@ def decomposition_check(g: SimplicialGraph, chi: Character) -> dict:
     """
     cx = character_complex(g, chi)
     h = cx.homology()
-    links = link_homology_table(g, chi.support(g), chi.p)
+    links = link_homology_table(g, g.mask(chi.support(g)), chi.p)
     sums = homology_from_links(g, links)
     return _decomposition((n, h.get(n, 0), sums.get(n, 0))
                           for n in range(1, cx.hi + 1))
@@ -265,20 +278,36 @@ def max_fp(g: SimplicialGraph, chi: Character):
     up to the largest clique size vanishes.  A surjective character
     with non-finitely-generated kernel reports 0."""
     supp, _ = require_epimorphism(g, chi)
-    return _level(homology_from_links(g, link_homology_table(g, supp, chi.p)))
+    links = link_homology_table(g, g.mask(supp), chi.p)
+    return _level(homology_from_links(g, links))
 
 
 def analyze(g: SimplicialGraph, chi: Character, max_n: int | None = None
             ) -> dict:
-    """The ``fpn`` report's results for one character: finite
-    generation, both FP_n routes per degree, the decomposition identity
-    and the maximal FP level (``"inf"`` when every degree vanishes), all
-    read off one link-homology table.  Degrees run from 1 to max_n
-    (default: the largest clique size of the graph)."""
+    """The ``fpn`` report's results for one character: ``fpn_results``
+    for its support and the power of p it is rescaled by.  Degrees run
+    from 1 to max_n (default: the largest clique size of the graph)."""
     if max_n is not None and max_n < 1:
         raise ValueError("n must be >= 1")
     supp, t = require_epimorphism(g, chi)
-    links = link_homology_table(g, supp, chi.p)
+    return fpn_results(g, g.mask(supp), chi.p, t, max_n)
+
+
+def fpn_results(g: SimplicialGraph, support: int, p: int, t: int,
+                max_n: int | None = None) -> dict:
+    """The ``fpn`` report's results for the kernel of any epimorphism
+    with support ``support`` (a bitmask of g's positions) at the prime
+    p, rescaled by p**t: finite generation, both FP_n routes per
+    degree, the decomposition identity and the maximal FP level
+    (``"inf"`` when every degree vanishes), all read off one
+    link-homology table.  Degrees run from 1 to max_n (default: the
+    largest clique size of the graph).  Only the zero pattern matters,
+    so the support decides everything but ``rescaled_by_power``; the
+    empty support is the zero character's and raises EpimorphismError.
+    """
+    if not support:
+        raise EpimorphismError(_ZERO_CHARACTER)
+    links = link_homology_table(g, support, p)
     h = homology_from_links(g, links)
     upto = len(h) if max_n is None else max_n
 
@@ -302,7 +331,7 @@ def analyze(g: SimplicialGraph, chi: Character, max_n: int | None = None
     # and every outside vertex has a nonempty link.  Both sides of the
     # identity come from the same table here; the unsplit complex is
     # compared with it only in decomposition_check
-    return {"p": chi.p, "support": list(supp),
+    return {"p": p, "support": list(g.members(support)),
             "rescaled_by_power": t, "fg": h[1] == 0, "degrees": rows,
             "max_fp": "inf" if level == INFINITE else level,
             "routes_agree": all(r["fp_complex"] == r["fp_links"] for r in rows),

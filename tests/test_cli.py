@@ -8,6 +8,8 @@ from pathlib import Path
 import examples
 import pytest
 from dense import from_rows
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from raagfp.cli import main
 from raagfp.graph import SimplicialGraph, graph_document
@@ -412,15 +414,20 @@ def test_too_low_rank_exits_as_internal_defect(monkeypatch, capsys):
 
 
 def test_wrong_certificate_exits_as_internal_defect(monkeypatch, capsys):
-    # the certificate of every zero pattern is checked against each column
+    # the certificate of every zero pattern is checked against each
+    # column, the one row of a one-row matrix as well; a zero certificate
+    # vanishes at every vertex, so it fails outside the zero set
     from raagfp import coabelian
     real = coabelian.ZeroPattern
     monkeypatch.setattr(coabelian, "ZeroPattern", lambda zero_set, lam:
-                        real(zero_set, (lam[0] + 1,) + lam[1:]))
-    argv = ["coabelian", str(CORPUS / "complete3.graph.json"),
-            str(CORPUS / "complete3.identity.matrix.json")]
-    assert main(argv) == 4
-    assert capsys.readouterr().err.startswith("error: internal defect")
+                        real(zero_set, [0] * len(lam)))
+    for name, matrix in (("complete3", "identity"), ("cycle4", "allones")):
+        argv = ["coabelian", str(CORPUS / f"{name}.graph.json"),
+                str(CORPUS / f"{name}.{matrix}.matrix.json")]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: internal defect: certificate fails "
+                              "at vertex"), err
 
 
 def test_fg_readings_that_disagree_exit_as_internal_defect(monkeypatch,
@@ -468,6 +475,49 @@ def test_wrong_rank_exits_as_internal_defect_under_optimize():
 def test_render_json_matches_json_dumps_indent_2(doc):
     from raagfp.cli import render_json
     assert render_json(doc) == json.dumps(doc, indent=2)
+
+
+REPORT_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=40)
+
+
+@given(REPORT_VALUES)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_render_json_matches_json_dumps_on_any_report_value(doc):
+    from raagfp.cli import render_json
+    assert render_json(doc) == json.dumps(doc, indent=2)
+
+
+def test_render_json_holds_a_large_report_at_most_two_and_a_half_times():
+    # each container joins its own pieces once, so a report is held in
+    # pieces and joined, about twice its length, while it is rendered
+    import random
+    import tracemalloc
+    from itertools import combinations
+
+    from raagfp import coabelian
+    from raagfp.cli import render_json
+    rng = random.Random("large-report")
+    vs = [f"v{i}" for i in range(1, 14)]
+    g = SimplicialGraph(vs, [e for e in combinations(vs, 2)
+                             if rng.random() < 0.25])
+    m = coabelian.CoabelianSpec(
+        2, [[rng.randint(-3, 3) for _ in vs] for _ in range(4)], vs)
+    results = coabelian.fg_coabelian(g, m)
+    results.update(coabelian.fpn_coabelian(g, m, 2))
+    results["fullness"] = coabelian.is_full(g, m)
+    doc = {"command": "coabelian", "results": results}
+    tracemalloc.start()
+    try:
+        out = render_json(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out) > 200_000
+    assert peak <= 2.5 * len(out), peak / len(out)
 
 
 def test_render_json_rejects_what_no_report_holds(monkeypatch, capsys):

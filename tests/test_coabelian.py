@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
+from pathlib import Path
 
 import examples
 import pytest
@@ -13,9 +14,11 @@ from raagfp import cli, coabelian, fpcheck
 from raagfp.coabelian import (CoabelianSpec, ZeroPattern, _subset_tree,
                               enumerate_patterns, fg_coabelian, fpn_coabelian,
                               is_full, matrix_rank, parse_matrix)
-from raagfp.errors import FiniteQuotientError, SchemaError
+from raagfp.errors import EpimorphismError, FiniteQuotientError, SchemaError
 from raagfp.graph import (SimplicialGraph, graph_document, induced_subgraph,
-                          join_factors)
+                          join_factors, parse_graph)
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def spec_for(g, rows, p=2):
@@ -517,6 +520,59 @@ def test_fpn_coabelian_examples():
     k3 = examples.complete(3)
     rep = fpn_coabelian(k3, spec_for(k3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]), 4)
     assert rep["fp"] and rep["fp_witness"] is None
+
+
+def merged_route_cases():
+    """(graph, spec, n) triples: random graphs on up to 9 vertices with
+    specs of up to 4 rows at p = 2 and 3, and every corpus matrix."""
+    rng = random.Random("merged-route")
+    cases = []
+    while len(cases) < 80:
+        n = rng.randint(1, 9)
+        vs = [f"v{i}" for i in range(1, n + 1)]
+        density = rng.uniform(0.2, 0.8)
+        g = SimplicialGraph(vs, [e for e in combinations(vs, 2)
+                                 if rng.random() < density])
+        m = dependent_spec(rng, n, rng.randint(1, 4))
+        m = CoabelianSpec(rng.choice((2, 3)), m.rows, m.vertices)
+        if matrix_rank(m):
+            cases.append((g, m, rng.randint(1, 3)))
+    for path in sorted(CORPUS.glob("*.matrix.json")):
+        g = parse_graph(json.loads(
+            (CORPUS / (path.name.split(".")[0] + ".graph.json")).read_text()))
+        m = parse_matrix(json.loads(path.read_text()), g)
+        cases += [(g, m, 1), (g, m, 3)]
+    return cases
+
+
+def test_fpn_coabelian_reports_equal_analyze_of_the_indicator():
+    # fpn_coabelian hands each pattern's support mask to fpn_results with
+    # t = 0; analyze reaches the same block from the 0/1 indicator
+    # character, through its support and valuation, on a fresh copy of
+    # the graph, so no memo entry is shared
+    patterns = 0
+    for g, m, n in merged_route_cases():
+        rep = fpn_coabelian(g, m, n)
+        fresh = SimplicialGraph(g.vertices, g.edges)
+        assert len(rep["per_pattern"]) == len(enumerate_patterns(m))
+        for pattern, row in zip(enumerate_patterns(m), rep["per_pattern"]):
+            assert row["zero_set"] == list(pattern.zero_set)
+            supp = set(g.vertices).difference(pattern.zero_set)
+            chi = examples.support_character(fresh, supp, m.p)
+            assert row["report"] == fpcheck.analyze(fresh, chi, max_n=n), \
+                (g, m, n, pattern.zero_set)
+            patterns += 1
+    assert patterns > 300
+
+
+def test_fpn_results_refuses_the_empty_support():
+    g = examples.cycle(4)
+    with pytest.raises(EpimorphismError) as zero_character:
+        fpcheck.analyze(g, examples.support_character(g, (), 2))
+    for p, t, max_n in ((2, 0, None), (3, 1, 2)):
+        with pytest.raises(EpimorphismError) as empty:
+            fpcheck.fpn_results(g, 0, p, t, max_n)
+        assert str(empty.value) == str(zero_character.value)
 
 
 def test_k1_degenerates_to_single_character():

@@ -159,12 +159,12 @@ def test_components_examples():
 
 
 def test_connected_and_dominant_examples():
-    assert connected_and_dominant(p3(), {"v2"}) == (True, True)
-    assert connected_and_dominant(p3(), {"v1"}) == (True, False)
-    assert connected_and_dominant(p3(), {"v1", "v3"}) == (False, True)
-    assert connected_and_dominant(c4(), c4().vertices) == (True, True)
+    assert connected_and_dominant(p3(), 0b010) == (True, True)
+    assert connected_and_dominant(p3(), 0b001) == (True, False)
+    assert connected_and_dominant(p3(), 0b101) == (False, True)
+    assert connected_and_dominant(c4(), 0b1111) == (True, True)
     with pytest.raises(SchemaError):
-        connected_and_dominant(p3(), {"zz"})
+        connected_and_dominant(p3(), 0b1000)
 
 
 def test_components_against_set_bfs():
@@ -202,7 +202,7 @@ def test_connected_and_dominant_against_set_reference():
     for g in examples.connected_graph_catalog(5):
         for bits in range(1 << len(g)):
             supp = [v for i, v in enumerate(g.vertices) if bits >> i & 1]
-            assert connected_and_dominant(g, supp) == \
+            assert connected_and_dominant(g, g.mask(supp)) == \
                 (is_connected(induced_subgraph(g, supp)), is_dominant(g, supp))
             checked += 1
     assert checked > 500

@@ -92,7 +92,7 @@ def dominated(g, vset):
 def test_mask_links_match_tuple_oracle_in_every_degree(p):
     collapsed = empty = 0
     for g, supp in seeded_cases(f"mask-links:{p}"):
-        table = link_homology_table(g, supp, p)
+        table = link_homology_table(g, g.mask(supp), p)
         assert list(table) == outside_cliques(g, supp)
         for s, dims in table.items():
             oracle = reduced_homology(link_complex(g, supp, s), p)
@@ -163,7 +163,7 @@ def test_top_degree_is_the_clique_number():
         assert clique_number(g.masks, (1 << len(g)) - 1) == omega
         chi = Character(3, {v: int(v in supp) for v in g.vertices})
         assert character_complex(g, chi).hi == omega
-        table = link_homology_table(g, supp, 3)
+        table = link_homology_table(g, g.mask(supp), 3)
         assert len(homology_from_links(g, table)) == omega
         if supp:
             assert len(analyze(g, chi)["degrees"]) == omega
@@ -210,12 +210,12 @@ def test_rp2_has_torsion_only_at_2():
     rng = random.Random("rp2")
     full = frozenset(g.vertices)
     for p in (2, 3, 5):
-        table = link_homology_table(g, full, p)
+        table = link_homology_table(g, g.mask(full), p)
         torsion = int(p == 2)
         assert table == {(): {-1: 0, 0: 0, 1: torsion, 2: torsion}}
         for supp in [full] + [full - set(rng.sample(g.vertices, 3))
                               for _ in range(2)]:
-            for s, dims in link_homology_table(g, supp, p).items():
+            for s, dims in link_homology_table(g, g.mask(supp), p).items():
                 oracle = reduced_homology(link_complex(g, supp, s), p)
                 assert {d: dims.get(d, 0) for d in oracle} == oracle, (supp, s)
 
@@ -241,8 +241,8 @@ def test_one_graph_analysed_at_2_then_3_then_2_matches_fresh_graphs():
             chi = examples.support_character(g, supp, p)
             assert analyze(g, chi, max_n=3) == \
                 analyze(examples.rp2(), chi, max_n=3), (p, supp)
-            assert link_homology_table(g, supp, p) == \
-                link_homology_table(examples.rp2(), supp, p), (p, supp)
+            assert link_homology_table(g, g.mask(supp), p) == \
+                link_homology_table(examples.rp2(), g.mask(supp), p), (p, supp)
     assert {p for _, p in g._homology} == {2, 3}
 
 
@@ -291,10 +291,9 @@ def test_warm_memo_tables_equal_fresh_graph_tables():
                                           rng.uniform(0.3, 0.9)))
         p = rng.choice((2, 3))
         for vset in range(1 << len(g)):         # every support, even none
-            supp = g.members(vset)
-            warm = link_homology_table(g, supp, p)
+            warm = link_homology_table(g, vset, p)
             fresh = SimplicialGraph(g.vertices, g.edges)
-            assert warm == link_homology_table(fresh, supp, p), (g, supp)
+            assert warm == link_homology_table(fresh, vset, p), (g, vset)
             links += len(warm)
         # one dict per core ranked, kept under the core and under every
         # vertex set that collapsed onto it
