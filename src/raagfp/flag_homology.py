@@ -12,10 +12,8 @@ until none is left (a strong collapse, which keeps the homotopy type).
 Each vertex set is collapsed, and each core left is ranked, once per
 graph and prime.  A core is ranked relative to a contractible
 subcomplex, the union of the stars of a maximal clique, so only the
-cliques outside every star get a basis element, and only the boundary
-columns that clearing keeps are built: a face of c is ``c ^ bit``,
-keyed by that mask, its sign is the parity of the bit's position in c,
-and a face inside a star is left out.
+cliques outside every star get a basis element, and a face inside a
+star is left out of every boundary.
 The tuple route ``link_complex`` -> ``simplicial_chain_complex`` ->
 ``reduced_homology`` builds the uncollapsed complex with named
 simplices; it is the oracle of ``fpcheck.fp_via_links``, the ``verify``
@@ -24,13 +22,14 @@ as ``graph.enumerate_cliques`` returns them: ``groups[k]`` lists the
 size-k cliques as vertex tuples, ``groups[0] == [()]``, and the list
 ends with the largest size that occurs.
 
-This module owns every chain-complex convention.  Both routes, and the
-support complex of ``fpcheck.character_complex``, are ranked by one
-top-down clearing pass (``_clearing_pass``), and both tuple complexes
-are ``ChainComplexFp``s built from their clique groups.  Every
-tuple complex starts at the empty clique, the relative complex of a
-core at its first clique outside the stars, and each squares to zero
-in every degree.
+This module owns every chain-complex convention.  ``ChainComplexFp``
+is the one chain complex: its basis is clique bitmasks, it builds each
+boundary column on demand, and its ``homology`` ranks the boundaries in
+one top-down clearing pass.  A tuple complex is turned into masks with
+bit i for its i-th vertex; the support complex of
+``fpcheck.character_complex`` removes only support vertices, and a
+core's relative complex starts at its first clique outside the stars.
+Each squares to zero in every degree.
 """
 
 from __future__ import annotations
@@ -62,39 +61,62 @@ def link_complex(g: SimplicialGraph, support, s) -> list:
 class ChainComplexFp:
     """Chain complex over F_p with one basis element per clique.
 
-    ``groups[k]`` lists the size-k cliques as vertex tuples (groups[0]
-    holds the empty clique) and sits in degree lo + k, so ``dims`` maps
-    each degree in [lo, hi] to its group size, hi = lo + len(groups) - 1,
-    and ``boundaries[n]`` holds d_n: degree n -> n-1 for every
-    lo < n <= hi, with the row of a face keyed by its index in its
-    group.  The boundary of a clique removes each of its vertices that
-    lies in ``removable`` (every vertex when None); removing the vertex
-    in 0-based position i gives the sign (-1)**i.  Each boundary is
-    built column by column, one column per clique.  The clearing pass
-    that ranks the boundaries needs d_n . d_(n+1) = 0.  It holds in
-    every degree, since removing two removable vertices in either order
-    gives opposite signs, and ``dd_violation`` checks it.
+    ``groups[k]`` lists the size-k cliques as bitmasks and sits in
+    degree lo + k, so ``dims`` maps each degree in [lo, hi] to its group
+    size, hi = lo + len(groups) - 1.  ``boundary(n)`` builds d_n:
+    degree n -> n-1 for lo < n <= hi, one column per clique c, with the
+    row of a face keyed by its mask.  The column of c removes each bit
+    of c that lies in ``removable`` (every bit by default) and whose
+    face ``c ^ bit`` lies in no vertex set of ``stars``; the bit in
+    0-based position i of c gives the sign (-1)**i.  The groups are
+    ``graph.clique_masks`` of one vertex set avoiding ``stars``, so
+    every face kept is a basis element one degree down.  The clearing
+    pass of ``homology`` needs d_n . d_(n+1) = 0, which
+    ``dd_violation`` checks.  It holds in every degree: removing two
+    removable bits in either order gives opposite signs, and a face
+    two removals down that lies in no star is reached through two faces
+    that lie in none either, since the subsets of a star are in it too.
     """
 
-    __slots__ = ("p", "lo", "hi", "dims", "boundaries")
+    __slots__ = ("groups", "p", "lo", "hi", "dims", "removable", "stars")
 
-    def __init__(self, groups, p: int, lo: int, removable=None):
+    def __init__(self, groups, p: int, lo: int, removable: int = -1,
+                 stars=()):
         check_prime(p)
         if not groups:
             raise ValueError("empty degree range")
+        self.groups = groups
         self.p = p
         self.lo = lo
         self.hi = lo + len(groups) - 1
         self.dims = {lo + k: len(group) for k, group in enumerate(groups)}
-        self.boundaries = {}
-        for k in range(1, len(groups)):
-            index_below = {c: i for i, c in enumerate(groups[k - 1])}
-            signs = [1 if pos % 2 == 0 else p - 1 for pos in range(k)]
-            self.boundaries[lo + k] = MatrixFp(len(groups[k - 1]), p, [
-                {index_below[c[:pos] + c[pos + 1:]]: sign
-                 for pos, sign in enumerate(signs)
-                 if removable is None or c[pos] in removable}
-                for c in groups[k]])
+        self.removable = removable
+        self.stars = stars
+
+    def boundary(self, n: int, cleared=()) -> MatrixFp:
+        """d_n, leaving out the columns of the cliques in ``cleared``."""
+        k = n - self.lo
+        p, removable, stars = self.p, self.removable, self.stars
+        signs = [1 if pos % 2 == 0 else p - 1 for pos in range(k)]
+        columns = []
+        for c in self.groups[k]:
+            if c in cleared:
+                continue
+            keep = c & removable        # bits whose face is a term
+            for star in stars:
+                rest = c & ~star
+                if not rest & (rest - 1):
+                    keep &= ~rest
+            column = {}
+            rest, pos = c, 0
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                if bit & keep:
+                    column[c ^ bit] = signs[pos]
+                pos += 1
+            columns.append(column)
+        return MatrixFp(len(self.groups[k - 1]), p, columns)
 
     def dd_violation(self):
         """First degree n with d_n . d_(n+1) != 0, else None.  Each
@@ -102,11 +124,12 @@ class ChainComplexFp:
         its entries; d_n . d_(n+1) is zero when every sum is."""
         p = self.p
         for n in range(self.lo + 1, self.hi):
-            below = self.boundaries[n].columns
-            for column in self.boundaries[n + 1].columns:
+            below = dict(zip(self.groups[n - self.lo],
+                             self.boundary(n).columns))
+            for column in self.boundary(n + 1).columns:
                 image = {}
-                for k, weight in column.items():
-                    for i, v in below[k].items():
+                for face, weight in column.items():
+                    for i, v in below[face].items():
                         image[i] = (image.get(i, 0) + weight * v) % p
                 if any(image.values()):
                     return n
@@ -114,52 +137,44 @@ class ChainComplexFp:
 
     def homology(self) -> dict:
         """Dimension of ker d_n / im d_(n+1) for lo <= n <= hi, in one
-        clearing pass over the columns of each d_n that are not lows."""
-        def columns(k, cleared):
-            return [col for j, col in
-                    enumerate(self.boundaries[self.lo + k].columns)
-                    if j not in cleared]
+        top-down pass.
 
-        h = _clearing_pass(
-            self.p, self.lo,
-            [self.dims[n] for n in range(self.lo, self.hi + 1)], columns)
-        return dict(enumerate(h, self.lo))
-
-
-def _clearing_pass(p: int, lo: int, sizes: list, columns) -> list:
-    """Homology of a chain complex with sizes[k] basis elements in
-    degree lo + k, in one top-down pass.
-
-    ``columns(k, cleared)`` lists the columns of the boundary out of
-    degree lo + k as ``{row key: value}`` dicts, leaving out the columns
-    whose keys are in ``cleared``: the lows of the boundary one degree
-    up.  A reduced column of that boundary is a boundary, hence a cycle,
-    whose largest key is its low, so the column of that low would reduce
-    to zero (Chen-Kerber clearing; this needs d . d = 0, and any order
-    of keys works).  Returns h, with h[k] the homology dimension in
-    degree lo + k.
-    """
-    # ranks[k] is the rank of the boundary out of degree lo + k
-    ranks = [0] * (len(sizes) + 1)
-    lows = set()                        # lows of the boundary one degree up
-    for k in range(len(sizes) - 1, 0, -1):
-        cleared, lows = lows, set()
-        ranks[k] = rank_fp(MatrixFp(sizes[k - 1], p, columns(k, cleared)),
-                           lows=lows)
-    h = []
-    for k, size in enumerate(sizes):
-        dim = size - ranks[k] - ranks[k + 1]
-        if dim < 0:
-            raise InternalDefect(f"negative homology dimension at degree {lo + k}")
-        h.append(dim)
-    return h
+        A reduced column of d_(n+1) is a boundary, hence a cycle, whose
+        largest row key is its low, so the column of d_n at that low
+        would reduce to zero: it is never built (Chen-Kerber clearing,
+        which needs d . d = 0; any order of keys works).  A d_n into an
+        empty degree is zero and is not ranked.  A negative dimension
+        raises InternalDefect.
+        """
+        lo, dims = self.lo, self.dims
+        ranks = dict.fromkeys(range(lo, self.hi + 2), 0)
+        lows = set()                    # lows of d_(n+1)
+        for n in range(self.hi, lo, -1):
+            cleared, lows = lows, set()
+            if dims[n - 1]:
+                ranks[n] = rank_fp(self.boundary(n, cleared), lows=lows)
+        h = {}
+        for n, size in dims.items():
+            h[n] = size - ranks[n] - ranks[n + 1]
+            if h[n] < 0:
+                raise InternalDefect(f"negative homology dimension at degree {n}")
+        return h
 
 
 def simplicial_chain_complex(groups, p: int) -> ChainComplexFp:
     """Augmented chain complex of the flag complex with clique groups
     ``groups``: size-n cliques sit in degree n-1, the empty clique in
     degree -1, and d_0 sends every vertex to 1."""
-    return ChainComplexFp(groups, p, -1)
+    return ChainComplexFp(_as_masks(groups), p, -1)
+
+
+def _as_masks(groups) -> list:
+    """Tuple clique groups as bitmasks, bit i for the i-th vertex of
+    groups[1].  The tuples list their vertices in that order, so the
+    position of a vertex in a tuple is the position of its bit."""
+    bits = {v: 1 << i for i, (v,) in enumerate(groups[1])} \
+        if len(groups) > 1 else {}
+    return [[sum(bits[v] for v in c) for c in group] for group in groups]
 
 
 def reduced_homology(groups, p: int) -> dict:
@@ -265,40 +280,14 @@ def _core_homology(adj, vset: int, p: int) -> dict:
     based on acyclic subspace", Comput. Math. Appl. 55, 2008).
 
     Degree k-1 has one basis element per size-k clique inside no N[v],
-    so degree -1 has none; the result lists degrees -1 .. the top
-    relative degree, and at least -1 and 0 for a nonempty vset.  The
-    column of c has the row ``c ^ bit`` with sign (-1)**i for the bit
-    in 0-based position i of c, unless that face lies in L.  Columns are
-    keyed by their clique masks, so a cleared low is a clique whose
-    column is never built.
+    so degree -1 has none: the ``ChainComplexFp`` of those cliques with
+    the N[v] as its stars.  The result lists degrees -1 .. the top
+    relative degree, and at least -1 and 0 for a nonempty vset.
     """
     if not vset:
         return {-1: 1}
     stars = _star_cover(adj, vset)
-    groups = clique_masks(adj, vset, stars)
-    signs = [1 if pos % 2 == 0 else p - 1 for pos in range(len(groups))]
-
-    def columns(k, cleared):
-        out = []
-        for c in groups[k + 1]:
-            if c in cleared:
-                continue
-            in_l = 0                # bits whose removal lands in a star
-            for star in stars:
-                rest = c & ~star
-                if not rest & (rest - 1):
-                    in_l |= rest
-            column = {}
-            rest, pos = c, 0
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                if not bit & in_l:
-                    column[c ^ bit] = signs[pos]
-                pos += 1
-            out.append(column)
-        return out
-
-    h = _clearing_pass(p, 0, [len(group) for group in groups[1:]] or [0],
-                       columns)
-    return {-1: 0, **dict(enumerate(h))}
+    h = ChainComplexFp(clique_masks(adj, vset, stars), p, -1,
+                       stars=stars).homology()
+    h.setdefault(0, 0)
+    return h

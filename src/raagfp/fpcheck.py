@@ -31,7 +31,9 @@ clique of what is left (``flag_homology.mask_reduced_homology``), so a
 link's entry may list fewer degrees than the link has; the top
 degree of the support complex is therefore the largest clique size of
 the graph, not a link's top.  The unsplit support complex
-(``character_complex``) is built only by the oracles ``fp_via_complex``
+(``character_complex``: the ``flag_homology.ChainComplexFp`` of g's
+clique bitmasks with the support bits removable, the builder that also
+ranks each link core) is built only by the oracles ``fp_via_complex``
 and ``decomposition_check``, and the uncollapsed links only by the
 oracle ``fp_via_links``, which reads ``reduced_homology`` of each
 link's clique groups (``link_complex``); the verify suites and the
@@ -54,8 +56,8 @@ from .flag_homology import (ChainComplexFp, link_complex,
                             mask_reduced_homology, reduced_homology)
 from .fpmatrix import check_prime
 from .frozen import Frozen
-from .graph import (SimplicialGraph, check_vertex_set, components,
-                    enumerate_cliques)
+from .graph import (SimplicialGraph, check_vertex_set, clique_masks,
+                    components, enumerate_cliques)
 
 INFINITE = math.inf
 _ZERO_CHARACTER = "character is identically zero: not an epimorphism"
@@ -156,10 +158,12 @@ def character_complex(g: SimplicialGraph, chi: Character) -> ChainComplexFp:
 
     Degree n has one basis element per clique of size n (note: clique
     cardinality, one more than the simplex dimension), starting with
-    the empty clique in degree 0.  The boundary of a clique removes only
-    its support vertices, so h_0 is 1 exactly when the support is empty.
+    the empty clique in degree 0, each clique a bitmask of g's
+    positions.  The boundary of a clique removes only its support
+    vertices, so h_0 is 1 exactly when the support is empty.
     """
-    return ChainComplexFp(enumerate_cliques(g), chi.p, 0, chi.support(g))
+    return ChainComplexFp(clique_masks(g.masks, (1 << len(g)) - 1), chi.p,
+                          0, g.mask(chi.support(g)))
 
 
 def outside_cliques(g: SimplicialGraph, support) -> list:

@@ -1,6 +1,7 @@
 """Dense-list views of MatrixFp for writing test fixtures and expectations,
 and plain row reduction as the independent oracle for every F_p rank."""
 
+from raagfp.flag_homology import ChainComplexFp
 from raagfp.fpmatrix import MatrixFp
 
 
@@ -52,11 +53,38 @@ def dense_rank(rows, p):
     return rank
 
 
+def dense_boundary(cx, n: int) -> list:
+    """d_n of a ChainComplexFp as row lists: one row per clique of degree
+    n-1 and one column per clique of degree n, each in its order in
+    ``cx.groups``.  A row key that is no clique of degree n-1 raises
+    KeyError."""
+    m = cx.boundary(n)
+    index = {c: i for i, c in enumerate(cx.groups[n - 1 - cx.lo])}
+    return to_dense(MatrixFp(m.rows, m.p, [{index[c]: v for c, v in col.items()}
+                                           for col in m.columns]))
+
+
 def dense_homology(cx) -> dict:
     """The homology of a ChainComplexFp from its dims and the dense
     ranks of its boundaries: dims[n] - rank d_n - rank d_(n+1), where
-    an absent d_n has rank 0."""
-    rank = {n: dense_rank(to_dense(cx.boundaries[n]), cx.p)
-            if n in cx.boundaries else 0 for n in range(cx.lo, cx.hi + 2)}
+    d_lo and d_(hi+1) have rank 0."""
+    rank = {n: dense_rank(dense_boundary(cx, n), cx.p)
+            if cx.lo < n <= cx.hi else 0 for n in range(cx.lo, cx.hi + 2)}
     return {n: cx.dims[n] - rank[n] - rank[n + 1]
             for n in range(cx.lo, cx.hi + 1)}
+
+
+class FaultyComplex(ChainComplexFp):
+    """The complex cx, except that ``boundary(n)`` returns ``faults[n]``
+    for each degree n in ``faults``: a boundary with injected faults."""
+
+    __slots__ = ("faults",)
+
+    def __init__(self, cx, faults: dict):
+        super().__init__(cx.groups, cx.p, cx.lo, cx.removable, cx.stars)
+        self.faults = faults
+
+    def boundary(self, n: int, cleared=()) -> MatrixFp:
+        if n in self.faults:
+            return self.faults[n]
+        return super().boundary(n, cleared)

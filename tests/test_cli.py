@@ -7,7 +7,7 @@ from pathlib import Path
 
 import examples
 import pytest
-from dense import from_rows
+from dense import FaultyComplex, dense_boundary
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -294,12 +294,13 @@ def test_verify_negative_control():
     # a deliberately corrupted boundary must be caught by the same check
     # the verify suites run
     from raagfp.flag_homology import ChainComplexFp
-    edge = [[()], [("a",), ("b",)], [("a", "b")]]
+    from raagfp.fpmatrix import MatrixFp
+    edge = [[0], [0b01, 0b10], [0b11]]          # vertices a, b and the edge ab
     good = ChainComplexFp(edge, 2, 0)
     assert good.dd_violation() is None
-    corrupted = ChainComplexFp(edge, 2, 0)
-    assert corrupted.boundaries[2] == from_rows([[1], [1]], 2)
-    corrupted.boundaries[2] = from_rows([[1], [0]], 2)
+    assert dense_boundary(good, 2) == [[1], [1]]
+    corrupted = FaultyComplex(good, {2: MatrixFp(2, 2, [{0b01: 1}])})
+    assert dense_boundary(corrupted, 2) == [[1], [0]]
     assert corrupted.dd_violation() == 1
 
 

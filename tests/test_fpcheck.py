@@ -4,7 +4,8 @@ from itertools import combinations
 
 import examples
 import pytest
-from dense import dense_homology, dense_product, to_dense
+from dense import (FaultyComplex, dense_boundary, dense_homology,
+                   dense_product)
 from graphref import neighbours
 
 from raagfp.errors import EpimorphismError
@@ -71,15 +72,15 @@ def test_character_complex_c4():
     assert cx.dims == {0: 1, 1: 4, 2: 4}
     assert cx.homology() == {0: 0, 1: 0, 2: 1}
     # full support: the degree-2 boundary is the plain edge boundary
-    simp = character_complex(c4, examples.ones_character(c4, 2)).boundaries[2]
-    plain = simplicial_chain_complex(enumerate_cliques(c4), 2).boundaries[1]
+    simp = character_complex(c4, examples.ones_character(c4, 2)).boundary(2)
+    plain = simplicial_chain_complex(enumerate_cliques(c4), 2).boundary(1)
     assert simp.columns == plain.columns
 
 
 def test_character_complex_p3_boundaries():
     p3 = examples.path(3)
     cx = character_complex(p3, chi_of(p3, (1, 0, 1)))
-    d1 = to_dense(cx.boundaries[1])
+    d1 = dense_boundary(cx, 1)
     assert d1 == [[1, 0, 1]]          # v1, v3 hit the empty clique; v2 dies
     # dims 1, 3, 2 and boundary ranks 1, 1
     assert cx.homology() == dense_homology(cx) == {0: 0, 1: 1, 2: 1}
@@ -89,8 +90,8 @@ def test_character_complex_zero_character():
     p3 = examples.path(3)
     cx = character_complex(p3, chi_of(p3, (0, 0, 0)))
     assert cx.lo == 0 and cx.dims[0] == 1          # the empty clique
-    assert not any(cx.boundaries[1].columns)
-    assert not any(cx.boundaries[2].columns)
+    assert not any(cx.boundary(1).columns)
+    assert not any(cx.boundary(2).columns)
     assert cx.homology()[0] == 1
 
 
@@ -119,20 +120,23 @@ def test_dd_violation_against_dense_product():
         complexes += [simplicial_chain_complex(link_complex(g, supp, s), p)
                       for s in outside_cliques(g, supp)]
         for cx in complexes:
-            targets = [m for m in cx.boundaries.values() if m.rows and m.cols]
+            targets = [n for n in range(cx.lo + 1, cx.hi + 1)
+                       if cx.dims[n - 1] and cx.dims[n]]
             if targets and rng.random() < 0.5:
-                m = rng.choice(targets)
+                n = rng.choice(targets)
+                m = cx.boundary(n)
                 column = rng.choice(m.columns)
-                i = rng.randrange(m.rows)
+                i = rng.choice(cx.groups[n - 1 - cx.lo])
                 v = rng.choice([x for x in range(p) if x != column.get(i, 0)])
                 if v:
                     column[i] = v
                 else:
                     del column[i]
+                cx = FaultyComplex(cx, {n: m})
             expected = next(
                 (n for n in range(cx.lo + 1, cx.hi)
-                 if any(map(any, dense_product(to_dense(cx.boundaries[n]),
-                                               to_dense(cx.boundaries[n + 1]),
+                 if any(map(any, dense_product(dense_boundary(cx, n),
+                                               dense_boundary(cx, n + 1),
                                                p)))), None)
             assert cx.dd_violation() == expected
             caught += expected is not None

@@ -2,7 +2,8 @@ import random
 
 import examples
 import pytest
-from dense import dense_homology, dense_rank, from_rows, to_dense
+from dense import (dense_boundary, dense_homology, dense_rank, from_rows,
+                   to_dense)
 
 from raagfp.flag_homology import simplicial_chain_complex
 from raagfp.fpcheck import Character, character_complex
@@ -73,8 +74,9 @@ def test_rank_of_flag_boundaries_against_dense_oracle(p):
     # the matrices rank_fp sees in practice: boundary maps of flag complexes
     for g in boundary_test_graphs():
         cx = simplicial_chain_complex(enumerate_cliques(g), p)
-        for m in cx.boundaries.values():
-            assert rank_fp(m) == dense_rank(to_dense(m), p)
+        for n in range(cx.lo + 1, cx.hi + 1):
+            assert rank_fp(cx.boundary(n)) == \
+                dense_rank(dense_boundary(cx, n), p)
 
 
 def shuffled_cross_polytopes():

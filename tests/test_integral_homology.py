@@ -10,12 +10,13 @@ from math import gcd
 
 import examples
 import pytest
-from integral import fp_dimensions, integral_homology, smith_invariants
+from integral import (boundary, fp_dimensions, integral_homology,
+                      smith_invariants)
 from test_fpcheck import planted_torsion
 
-from raagfp.flag_homology import mask_reduced_homology
-from raagfp.fpcheck import max_fp
-from raagfp.graph import SimplicialGraph
+from raagfp.flag_homology import mask_reduced_homology, simplicial_chain_complex
+from raagfp.fpcheck import Character, character_complex, max_fp
+from raagfp.graph import SimplicialGraph, enumerate_cliques
 
 PRIMES = (2, 3, 5, 7, 11)
 
@@ -55,6 +56,40 @@ def test_smith_invariants_against_determinantal_divisors():
                    for j in range(nc)]
         assert smith_invariants(columns) == \
             determinantal_invariants(rows), rows
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_mask_boundaries_are_the_integer_boundaries_mod_p(p):
+    # ChainComplexFp builds every boundary column from clique bitmasks;
+    # integral.boundary builds them from vertex tuples.  Under the map
+    # that sends the i-th vertex of groups[1] to bit i, the flag complex
+    # has the integer columns mod p, and the support complex keeps the
+    # terms that remove a support vertex.
+    rng = random.Random(f"mask-columns:{p}")
+    for _ in range(30):
+        vs = [f"v{i}" for i in range(rng.randint(0, 8))]
+        density = rng.choice((0.3, 0.6, 0.9))
+        g = SimplicialGraph(vs, [e for e in combinations(vs, 2)
+                                 if rng.random() < density])
+        groups = enumerate_cliques(g)
+        bit = {v: 1 << i for i, (v,) in enumerate(groups[1])} \
+            if len(groups) > 1 else {}
+        masks = [[sum(bit[v] for v in c) for c in group] for group in groups]
+        chi = Character(p, {v: rng.choice((0, 1, -1, 2)) for v in vs})
+        support = set(chi.support(g))
+        flag = simplicial_chain_complex(groups, p)
+        cx = character_complex(g, chi)
+        assert flag.groups == cx.groups == masks
+        for k in range(1, len(groups)):
+            below = groups[k - 1]
+            integer = boundary(groups, k)
+            assert flag.boundary(k - 1).columns == [
+                {masks[k - 1][i]: s % p for i, s in col.items()}
+                for col in integer], (g, k)
+            assert cx.boundary(k).columns == [
+                {masks[k - 1][i]: s % p for i, s in col.items()
+                 if set(c) - set(below[i]) <= support}
+                for c, col in zip(groups[k], integer)], (g, support, k)
 
 
 def suspension(g):

@@ -1,10 +1,11 @@
 """The bitmask link route against the tuple route it replaced.
 
 ``link_homology_table`` builds each link as a vertex bitmask, strong-
-collapses it and ranks the boundaries of what is left, once per core
-and prime per graph.  The tuple route (``link_complex`` ->
-``reduced_homology``) builds the uncollapsed complex with named
-simplices and is the oracle here.
+collapses it and ranks what is left relative to the stars of a maximal
+clique, once per core and prime per graph: a ``ChainComplexFp`` on the
+clique bitmasks outside the stars, the builder every complex shares.
+The tuple route (``link_complex`` -> ``reduced_homology``) builds the
+uncollapsed complex with named simplices and is the oracle here.
 """
 
 import json
@@ -17,8 +18,8 @@ import pytest
 from graphref import is_connected, neighbours
 from raagfp import flag_homology, fpmatrix
 from raagfp.errors import InternalDefect, SchemaError
-from raagfp.flag_homology import (link_complex, mask_reduced_homology,
-                                  reduced_homology)
+from raagfp.flag_homology import (ChainComplexFp, link_complex,
+                                  mask_reduced_homology, reduced_homology)
 from raagfp.cli import main
 from raagfp.fpcheck import (Character, analyze, character_complex,
                             decomposition_check, fp_via_complex, fp_via_links,
@@ -367,6 +368,43 @@ def test_clearing_builds_no_column_that_is_a_low_above(monkeypatch):
     assert mask_reduced_homology(g, (1 << 14) - 1, 3) == \
         {-1: 0, 0: 0, 1: 0, 2: 1}
     assert shapes == [(16, 13), (4, 16 - 12)]
+
+
+def test_every_ranked_relative_complex_squares_to_zero(monkeypatch):
+    # clearing leaves out the columns at the lows one degree up, which
+    # is exact only when d . d = 0 on the complex it ranks: each core
+    # relative to its stars, on graphs with extras, the 2-sphere, its
+    # suspension (relative cliques in degrees 1, 2 and 3) and the
+    # cross-polytopes k = 6, 7
+    ranked = []
+    core_homology = flag_homology._core_homology
+
+    def recording(adj, vset, p):
+        ranked.append((adj, vset, p))
+        return core_homology(adj, vset, p)
+
+    monkeypatch.setattr(flag_homology, "_core_homology", recording)
+    rng = random.Random("relative-dd")
+    graphs = [with_extras(rng, random_graph(rng, rng.randint(5, 10),
+                                            rng.uniform(0.3, 0.7)))
+              for _ in range(40)]
+    graphs += [sphere(), examples.join(sphere(), SimplicialGraph(["n", "s"]))]
+    graphs += [cross_polytope(rng, k) for k in (6, 7)]
+    for g in graphs:
+        for p in (2, 3, 5):
+            for supp in ((1 << len(g)) - 1,
+                         g.mask(v for v in g.vertices if rng.random() < 0.7)):
+                link_homology_table(g, supp, p)
+    squares = 0                         # degrees n, n + 1 both nonempty
+    for adj, core, p in ranked:
+        if core:
+            stars = flag_homology._star_cover(adj, core)
+            cx = ChainComplexFp(clique_masks(adj, core, stars), p, -1,
+                                stars=stars)
+            assert cx.dd_violation() is None, (adj, core, p)
+            squares += sum(cx.dims[n] > 0 and cx.dims[n + 1] > 0
+                           for n in range(cx.lo + 1, cx.hi))
+    assert squares > 20
 
 
 def test_too_high_rank_above_degree_0_is_a_negative_dimension(monkeypatch):
