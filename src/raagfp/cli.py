@@ -33,6 +33,7 @@ from . import __version__, coabelian, fpcheck
 from .errors import (EpimorphismError, FiniteQuotientError, InternalDefect,
                      SchemaError)
 from .fpmatrix import check_prime
+from .frozen import Shared
 from .graph import parse_graph
 
 EXIT_TRUE = 0
@@ -85,7 +86,7 @@ def _text_scalar(val) -> str:
     return json.dumps(val) if isinstance(val, (dict, list)) else str(val)
 
 
-def render_json(doc, pad: str = "") -> str:
+def render_json(doc, pad: str = "", memo: dict | None = None) -> str:
     """``json.dumps(doc, indent=2)``, byte for byte, nested one level
     deeper than ``pad``, for a report: str, int, bool and None inside
     lists and dicts with string keys.
@@ -95,11 +96,21 @@ def render_json(doc, pad: str = "") -> str:
     integers, booleans and None are spelled as json.dumps spells them.
     A container spells its scalars itself and puts them, its brackets,
     separators and rendered members into one list that it joins once,
-    so a report is held at most twice while it is rendered: in pieces
-    and joined.  Any other type, or a key that is not a string, raises
-    TypeError.
+    so a report is held about twice while it is rendered: in pieces
+    and joined.  A read-only ``Shared`` block, which a report may hold
+    in many places, is rendered once per indentation: ``memo`` maps
+    ``(id(block), pad)`` to its text for one top-level call, and the
+    report keeps every block, so its id, alive until that call ends.
+    Any other type, or a key that is not a string, raises TypeError.
     """
+    if memo is None:
+        memo = {}
     kind = type(doc)
+    if kind is Shared:
+        slot = (id(doc), pad)
+        text = memo.get(slot)
+        if text is not None:
+            return text
     if kind is list:
         if not doc:
             return "[]"
@@ -118,11 +129,11 @@ def render_json(doc, pad: str = "") -> str:
             elif value is None:
                 append("null")
             else:
-                append(render_json(value, inner))
+                append(render_json(value, inner, memo))
             append(sep)
         parts[-1] = "\n" + pad + "]"
         return "".join(parts)
-    if kind is dict:
+    if kind is dict or kind is Shared:
         if not doc:
             return "{}"
         inner = pad + "  "
@@ -142,10 +153,13 @@ def render_json(doc, pad: str = "") -> str:
                 append(": null")
             else:
                 append(": ")
-                append(render_json(value, inner))
+                append(render_json(value, inner, memo))
             append(sep)
         parts[-1] = "\n" + pad + "}"
-        return "".join(parts)
+        text = "".join(parts)
+        if kind is Shared:
+            memo[slot] = text
+        return text
     if kind is str:
         return encode_basestring_ascii(doc)
     if kind is int:

@@ -251,9 +251,11 @@ def fpn_coabelian(g: SimplicialGraph, m: CoabelianSpec, n: int) -> dict:
     zero set serves, since only zero patterns matter, so each pattern's
     results are ``fpcheck.fpn_results`` for its support mask with
     t = 0, the valuation of the support's 0/1 indicator: the block
-    ``analyze`` prints for that indicator, up to degree n.  Returns the
-    ``coabelian`` report's ``fp_n``, ``fp``, ``fp_witness`` and
-    ``per_pattern`` keys.
+    ``analyze`` prints for that indicator, up to degree n.  The
+    patterns share one ``fpn_results`` table for this call, so a link
+    row or decomposition block that recurs across them is one read-only
+    ``Shared`` object.  Returns the ``coabelian`` report's ``fp_n``,
+    ``fp``, ``fp_witness`` and ``per_pattern`` keys.
 
     Unlike ``fg_coabelian``'s, this aggregation is the paper's theorem
     only for a kernel that is weakly discretely embedded in G, so the
@@ -264,9 +266,10 @@ def fpn_coabelian(g: SimplicialGraph, m: CoabelianSpec, n: int) -> dict:
     full = (1 << len(g)) - 1
     rows = []
     witness = None
+    shared = {}
     for pattern in enumerate_patterns(m):
         report = fpcheck.fpn_results(g, full & ~g.mask(pattern.zero_set),
-                                     m.p, 0, n)
+                                     m.p, 0, n, shared)
         rows.append({"zero_set": list(pattern.zero_set), "report": report})
         if witness is None and not report["degrees"][n - 1]["fp_complex"]:
             witness = list(pattern.zero_set)

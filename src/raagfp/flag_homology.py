@@ -221,8 +221,7 @@ def mask_reduced_homology(g: SimplicialGraph, vset: int, p: int) -> dict:
     core collapses to itself, so both keys hold the same homology).  A
     vset that is not a set of g's positions raises SchemaError on a memo
     miss.  The h_-1 and h_0 self-checks run on every call against the
-    emptiness and component count of vset; the count is kept in g's
-    ``_components`` memo, so each vertex set is searched once.
+    emptiness and ``component_count`` of vset.
     """
     adj = g.masks
     memo = g._homology
@@ -234,11 +233,20 @@ def mask_reduced_homology(g: SimplicialGraph, vset: int, p: int) -> dict:
         if h is None:
             h = memo[core, p] = _core_homology(adj, core, p)
         memo[vset, p] = h
+    _check_low_degrees(h, vset.bit_count(), component_count(g, vset))
+    return h
+
+
+def component_count(g: SimplicialGraph, vset: int) -> int:
+    """Number of connected components of the subgraph on the vertex set
+    vset of g, which the caller has checked.  It is kept in g's
+    ``_components`` memo, which ``mask_reduced_homology`` and
+    ``fpcheck.connected_and_dominant`` share, so each vertex set is
+    searched once per graph."""
     count = g._components.get(vset)
     if count is None:
-        count = g._components[vset] = len(components(adj, vset))
-    _check_low_degrees(h, vset.bit_count(), count)
-    return h
+        count = g._components[vset] = len(components(g.masks, vset))
+    return count
 
 
 def _star_cover(adj, vset: int) -> list:

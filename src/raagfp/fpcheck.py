@@ -52,12 +52,12 @@ import math
 from types import MappingProxyType
 
 from .errors import EpimorphismError, SchemaError
-from .flag_homology import (ChainComplexFp, link_complex,
+from .flag_homology import (ChainComplexFp, component_count, link_complex,
                             mask_reduced_homology, reduced_homology)
 from .fpmatrix import check_prime
-from .frozen import Frozen
+from .frozen import Frozen, Shared
 from .graph import (SimplicialGraph, check_vertex_set, clique_masks,
-                    components, enumerate_cliques)
+                    enumerate_cliques)
 
 INFINITE = math.inf
 _ZERO_CHARACTER = "character is identically zero: not an epimorphism"
@@ -136,10 +136,14 @@ def connected_and_dominant(g: SimplicialGraph, vset: int) -> tuple:
     """Whether the subgraph on the vertex set vset (a bitmask of g's
     positions) is connected, and whether every vertex outside it has a
     neighbor in it.  The empty set counts as not connected; a vset that
-    is not a set of g's positions raises SchemaError."""
+    is not a set of g's positions raises SchemaError.  The component
+    count is g's ``_components`` memo entry (``component_count``), the
+    one that the h_0 self-check of ``mask_reduced_homology`` compares
+    with the rank-based h_0 of the same vertex set, so each vertex set
+    is searched once."""
     adj = g.masks
     check_vertex_set(vset, len(adj))
-    return (len(components(adj, vset)) == 1,
+    return (component_count(g, vset) == 1,
             all(adj[i] & vset for i in range(len(adj)) if not vset >> i & 1))
 
 
@@ -298,7 +302,8 @@ def analyze(g: SimplicialGraph, chi: Character, max_n: int | None = None
 
 
 def fpn_results(g: SimplicialGraph, support: int, p: int, t: int,
-                max_n: int | None = None) -> dict:
+                max_n: int | None = None, shared: dict | None = None
+                ) -> dict:
     """The ``fpn`` report's results for the kernel of any epimorphism
     with support ``support`` (a bitmask of g's positions) at the prime
     p, rescaled by p**t: finite generation, both FP_n routes per
@@ -308,6 +313,14 @@ def fpn_results(g: SimplicialGraph, support: int, p: int, t: int,
     largest clique size of the graph).  Only the zero pattern matters,
     so the support decides everything but ``rescaled_by_power``; the
     empty support is the zero character's and raises EpimorphismError.
+
+    ``shared`` is an optional table that a caller keeps over several
+    calls and drops after them.  With it, each link row (keyed by its
+    clique, level and dimension) and each decomposition block (keyed by
+    the homology it is read off) is built once, as a read-only
+    ``Shared``, and every call that has it holds that one object, so
+    ``cli.render_json`` renders it once per indentation.  Without it
+    every row and block is a new plain dict.
     """
     if not support:
         raise EpimorphismError(_ZERO_CHARACTER)
@@ -318,9 +331,20 @@ def fpn_results(g: SimplicialGraph, support: int, p: int, t: int,
     rows = []
     fp_c = fp_l = True
     for n in range(1, upto + 1):
-        link_rows = [{"clique": list(s), "level": n - 1 - len(s),
-                      "dim": dims.get(n - 1 - len(s), 0)}
-                     for s, dims in links.items() if len(s) <= n]
+        if shared is None:
+            link_rows = [{"clique": list(s), "level": n - 1 - len(s),
+                          "dim": dims.get(n - 1 - len(s), 0)}
+                         for s, dims in links.items() if len(s) <= n]
+        else:
+            link_rows = []
+            for s, dims in links.items():
+                if len(s) <= n:
+                    key = (s, n - 1 - len(s), dims.get(n - 1 - len(s), 0))
+                    row = shared.get(key)
+                    if row is None:
+                        row = shared[key] = Shared(clique=list(s),
+                                                   level=key[1], dim=key[2])
+                    link_rows.append(row)
         # FP_n needs every degree up to n: the complex column reads the
         # block sums, the link column each block's own level
         fp_c = fp_c and h.get(n, 0) == 0
@@ -330,6 +354,16 @@ def fpn_results(g: SimplicialGraph, support: int, p: int, t: int,
                      "complex_homology_dim": h.get(n, 0),
                      "links": link_rows})
 
+    if shared is None:
+        decomposition = _decomposition((n, d, d) for n, d in h.items())
+    else:
+        # a row's key has an int in second place, so no tuple of
+        # (degree, dim) pairs equals one
+        key = tuple(h.items())
+        decomposition = shared.get(key)
+        if decomposition is None:
+            decomposition = shared[key] = Shared(
+                _decomposition((n, d, d) for n, d in h.items()))
     level = _level(h)
     # fg is FP_1: h_1 = 0 says the S = () link is nonempty and connected
     # and every outside vertex has a nonempty link.  Both sides of the
@@ -339,4 +373,4 @@ def fpn_results(g: SimplicialGraph, support: int, p: int, t: int,
             "rescaled_by_power": t, "fg": h[1] == 0, "degrees": rows,
             "max_fp": "inf" if level == INFINITE else level,
             "routes_agree": all(r["fp_complex"] == r["fp_links"] for r in rows),
-            "decomposition": _decomposition((n, d, d) for n, d in h.items())}
+            "decomposition": decomposition}

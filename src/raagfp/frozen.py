@@ -45,3 +45,28 @@ class Frozen:
 
     def __reduce__(self):
         return type(self), self._fields()
+
+
+def _read_only(self, *args, **kwargs):
+    raise TypeError("a Shared block is read-only")
+
+
+class Shared(dict):
+    """A read-only report block that a report may hold in several places.
+
+    ``coabelian.fpn_coabelian`` builds each link row and decomposition
+    block that recurs across its zero patterns once, as a Shared, and
+    every pattern holding it holds that one object; ``cli.render_json``
+    renders it once per indentation.  Like a graph's ``_homology``
+    entries it must not be modified: the dict methods that would change
+    it raise TypeError, and the lists inside it must be left as they
+    are.  It is a dict for everything else, ``==``, ``json``, copying
+    and pickling included.
+    """
+
+    __slots__ = ()
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return Shared, (dict(self),)

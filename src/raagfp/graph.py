@@ -34,9 +34,12 @@ class SimplicialGraph(Frozen):
     AttributeError; equality and hash read ``(vertices, masks)``, and
     pickling rebuilds a graph from its vertices and edge pairs.  Three
     private caches that depend only on the masks are filled on first
-    use: ``_omega``, the largest clique size, and ``_homology`` and
-    ``_components``, the memos of ``flag_homology.mask_reduced_homology``.
-    A graph may be shared between tasks.
+    use: ``_omega``, the largest clique size, ``_homology``, the memo of
+    ``flag_homology.mask_reduced_homology``, and ``_components``, the
+    counts of ``flag_homology.component_count``, which the h_0
+    self-check of ``mask_reduced_homology`` and the fg reading of
+    ``fpcheck.connected_and_dominant`` both read.  A graph may be
+    shared between tasks.
 
     >>> g = SimplicialGraph(["a", "b", "c"], [("b", "a"), ("b", "c")])
     >>> sorted(g.edges)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from raagfp.cli import main
+from raagfp.frozen import Shared
 from raagfp.graph import SimplicialGraph, graph_document
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -447,6 +448,27 @@ def test_fg_readings_that_disagree_exit_as_internal_defect(monkeypatch,
     assert "['v2', 'v4']" in err
 
 
+def test_a_wrong_component_count_in_the_memo_exits_as_internal_defect(
+        monkeypatch, capsys):
+    # the fg reading and the h_0 self-check read one memo entry per
+    # support; a wrong count there makes fg false, and the rank-based
+    # h_0 of the S = () link, the support itself, refutes it
+    from raagfp import coabelian
+    real = coabelian.parse_matrix
+
+    def planting(document, g):
+        g._components[g.mask(["v2", "v3"])] = 2     # zero set ['v1']
+        return real(document, g)
+
+    monkeypatch.setattr(coabelian, "parse_matrix", planting)
+    argv = ["coabelian", str(CORPUS / "complete3.graph.json"),
+            str(CORPUS / "complete3.identity.matrix.json"), "--max-n", "2"]
+    assert main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: internal defect")
+    assert "degree 0" in err
+
+
 def test_wrong_rank_exits_as_internal_defect_under_optimize():
     # python -O strips assert statements; the self-checks must survive
     script = ("import sys\n"
@@ -464,6 +486,10 @@ def test_wrong_rank_exits_as_internal_defect_under_optimize():
     assert proc.stderr.startswith("error: internal defect")
 
 
+ROW = Shared(clique=["a", "b"], level=0, dim=1)
+BLOCK = Shared(ok=True, degrees=[ROW, {"links": [ROW, ROW]}], inner=ROW)
+
+
 @pytest.mark.parametrize("doc", [
     {}, [], "", 0, -7, 10 ** 40, -(10 ** 40), True, False, None,
     {"a": {}, "b": [], "c": [{}, [[]], {"d": [1, [2, {"e": None}]]}]},
@@ -472,22 +498,67 @@ def test_wrong_rank_exits_as_internal_defect_under_optimize():
      "caf\u00e9": "\u00fcber \u2603 \U0001f600 \u0800", "": ""},
     ["\x1f\x7f", "</script>", "'single'", "\\u0041"],
     {"big": 2 ** 200, "neg": -1, "zero": 0, "bools": [True, False, None]},
+    # a shared block is rendered once per indentation: twice at one
+    # depth, at two depths, inside another shared block, and as the
+    # whole document
+    [ROW, ROW, {}, ROW],
+    {"a": ROW, "b": [ROW, [ROW, {"c": ROW}]], "d": ROW},
+    [BLOCK, {"e": BLOCK, "f": [BLOCK]}, ROW, BLOCK],
+    ROW, BLOCK, Shared(), [Shared(), Shared()],
 ])
 def test_render_json_matches_json_dumps_indent_2(doc):
     from raagfp.cli import render_json
     assert render_json(doc) == json.dumps(doc, indent=2)
 
 
-REPORT_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.text(),
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.text(), inner, max_size=4),
-    max_leaves=40)
+def test_render_json_renders_each_shared_block_once_per_indentation():
+    from raagfp.cli import render_json
+    doc = {"a": ROW, "b": [ROW, BLOCK], "c": [[BLOCK, ROW]], "d": BLOCK}
+    memo = {}
+    assert render_json(doc, memo=memo) == json.dumps(doc, indent=2)
+    # BLOCK sits at depths 1 to 3 and holds ROW 1, 2 and 4 levels down,
+    # so ROW is rendered at every depth from 1 to 7
+    assert set(memo) == {(id(ROW), "  " * depth) for depth in range(1, 8)} \
+        | {(id(BLOCK), "  " * depth) for depth in (1, 2, 3)}
+    assert all(memo[id(block), pad] == render_json(dict(block), pad)
+               for block, pad in [(ROW, "    "), (BLOCK, "      ")])
+
+
+SCALARS = st.none() | st.booleans() | st.integers() | st.text()
+
+
+def containers(inner):
+    return (st.lists(inner, max_size=4)
+            | st.dictionaries(st.text(), inner, max_size=4))
+
+
+REPORT_VALUES = st.recursive(SCALARS, containers, max_leaves=40)
 
 
 @given(REPORT_VALUES)
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 def test_render_json_matches_json_dumps_on_any_report_value(doc):
+    from raagfp.cli import render_json
+    assert render_json(doc) == json.dumps(doc, indent=2)
+
+
+@st.composite
+def reports_with_shared_blocks(draw):
+    """A report value holding a few shared blocks, each in any number
+    of places; a later block may hold the earlier ones."""
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        leaves = SCALARS | st.sampled_from(blocks) if blocks else SCALARS
+        blocks.append(Shared(draw(st.dictionaries(
+            st.text(), st.recursive(leaves, containers, max_leaves=10),
+            max_size=4))))
+    return draw(st.recursive(SCALARS | st.sampled_from(blocks), containers,
+                             max_leaves=40))
+
+
+@given(reports_with_shared_blocks())
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_render_json_matches_json_dumps_with_shared_blocks(doc):
     from raagfp.cli import render_json
     assert render_json(doc) == json.dumps(doc, indent=2)
 
@@ -525,7 +596,9 @@ def test_render_json_rejects_what_no_report_holds(monkeypatch, capsys):
     from raagfp import fpcheck
     from raagfp.cli import render_json
     for doc in (1.5, float("inf"), {"tuple": (1, "a")}, [{1: "a"}],
-                {"nested": {"bool key": {True: 0}}}):
+                {"nested": {"bool key": {True: 0}}}, Shared(x=1.5),
+                [Shared(x=[0.5]), Shared(x=[0.5])],
+                [ROW, Shared(y=ROW, z=0.5)]):
         with pytest.raises(TypeError):
             render_json(doc)
     # the report is rendered whole before it is written

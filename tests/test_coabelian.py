@@ -15,6 +15,7 @@ from raagfp.coabelian import (CoabelianSpec, ZeroPattern, _subset_tree,
                               enumerate_patterns, fg_coabelian, fpn_coabelian,
                               is_full, matrix_rank, parse_matrix)
 from raagfp.errors import EpimorphismError, FiniteQuotientError, SchemaError
+from raagfp.frozen import Shared
 from raagfp.graph import (SimplicialGraph, graph_document, induced_subgraph,
                           join_factors, parse_graph)
 
@@ -563,6 +564,40 @@ def test_fpn_coabelian_reports_equal_analyze_of_the_indicator():
                 (g, m, n, pattern.zero_set)
             patterns += 1
     assert patterns > 300
+
+
+def test_fpn_coabelian_builds_each_recurring_row_and_block_once():
+    # one table serves every pattern of the call: equal link rows are
+    # one object, and so are equal decomposition blocks, while analyze
+    # of the indicator character builds the same report from plain dicts
+    g = parse_graph(json.loads((CORPUS / "complete3.graph.json").read_text()))
+    m = parse_matrix(json.loads(
+        (CORPUS / "complete3.identity.matrix.json").read_text()), g)
+    rep = fpn_coabelian(g, m, 3)
+    rows, blocks = {}, {}
+    held = 0
+    for pattern, row in zip(enumerate_patterns(m), rep["per_pattern"]):
+        report = row["report"]
+        block = report["decomposition"]
+        assert type(block) is Shared
+        assert blocks.setdefault(json.dumps(block), block) is block
+        for degree in report["degrees"]:
+            for link_row in degree["links"]:
+                assert type(link_row) is Shared
+                assert rows.setdefault(json.dumps(link_row), link_row) \
+                    is link_row
+                held += 1
+        supp = set(g.vertices).difference(pattern.zero_set)
+        plain = fpcheck.analyze(
+            g, examples.support_character(g, supp, m.p), max_n=3)
+        assert plain == report
+        assert type(plain["decomposition"]) is dict
+        assert all(type(r) is dict for d in plain["degrees"]
+                   for r in d["links"])
+    assert len(rep["per_pattern"]) == 7
+    assert len(rows) < held and len(blocks) < 7
+    with pytest.raises(TypeError):
+        block["ok"] = False
 
 
 def test_fpn_results_refuses_the_empty_support():

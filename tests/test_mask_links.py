@@ -22,9 +22,9 @@ from raagfp.flag_homology import (ChainComplexFp, link_complex,
                                   mask_reduced_homology, reduced_homology)
 from raagfp.cli import main
 from raagfp.fpcheck import (Character, analyze, character_complex,
-                            decomposition_check, fp_via_complex, fp_via_links,
-                            homology_from_links, link_homology_table, max_fp,
-                            outside_cliques)
+                            connected_and_dominant, decomposition_check,
+                            fp_via_complex, fp_via_links, homology_from_links,
+                            link_homology_table, max_fp, outside_cliques)
 from raagfp.graph import (SimplicialGraph, clique_masks, clique_number,
                           components, enumerate_cliques, graph_document,
                           induced_subgraph, strong_collapse)
@@ -343,6 +343,15 @@ def test_each_vertex_set_is_searched_for_components_once(monkeypatch):
         mask_reduced_homology(g, vset, p)
     assert searched == [0b111, 0b101]
     assert g._components == {0b111: 1, 0b101: 2}
+    # the fg reading hits the same entries, and fills one that the
+    # self-check then reads
+    assert connected_and_dominant(g, 0b111) == (True, True)
+    assert connected_and_dominant(g, 0b101) == (False, True)
+    assert connected_and_dominant(g, 0b011) == (True, True)
+    assert searched == [0b111, 0b101, 0b011]
+    mask_reduced_homology(g, 0b011, 2)
+    assert searched == [0b111, 0b101, 0b011]
+    assert g._components == {0b111: 1, 0b101: 2, 0b011: 1}
 
 
 def test_the_low_degree_self_check_runs_on_a_memo_hit():
